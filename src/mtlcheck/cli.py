@@ -94,6 +94,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail("--k must be a positive integer")
     if args.workers < 1:
         return _fail("--workers must be a positive integer")
+    if args.spill_budget is not None and args.spill_budget < 1:
+        return _fail("--spill-budget must be a positive integer")
     if anchor == ANCHOR_ZERO and semantics != LAZY:
         return _fail("--anchor zero requires --semantics lazy")
     if semantics == LAZY and not args.oracle and budget is None:
@@ -136,6 +138,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             stats = result.stats
     except (TransformError, EvaluationError, EngineError) as exc:
         return _fail(str(exc))
+    except OSError as exc:  # spill segments could not be written or read
+        return _fail(f"spill: {exc}")
 
     if args.table is not None:
         try:

@@ -16,20 +16,34 @@ with flag bits 1 = truth, 2 = position record, 4 = sanctioned marker.
 Child id 0 is reserved for the position marker; formula node ids start
 at 1.  A record's key is implicit in the per-key list holding it.
 
-Record discipline: plain window and until reducers admit only position
-records as witnesses or violations (this stands in for the stripped
-position-marker guards; see transforms), while exact-step reducers admit
-any record.  Reducers emit output exactly at instants where their input
-holds a position record or a sanctioned marker; unsanctioned markers are
-consumed but never answered, since the instants they point at are not
-always instants the key's operands were evaluated at.
+Record discipline, shared by the window, until and join reducers: each
+takes its key's raw stream sorted by ``shuffle_sort`` and, in a single
+pass, groups it by instant and deduplicates while it reduces.
+
+- An instant emits output iff it holds a position record or a sanctioned
+  marker.  Unsanctioned markers are consumed but never answered, since the
+  instants they point at are not always instants the key's operands were
+  evaluated at; repeated markers change nothing.
+- Real records of one child at one instant are adjacent in sorted order:
+  a repeat that agrees in truth is skipped, one that disagrees raises
+  ``EngineError``.
+- Plain window and until reducers admit only position records as
+  witnesses or violations (this stands in for the stripped position-marker
+  guards; see transforms), while exact-step reducers admit any record.
+
+Window and until buffers answer each probe in amortized O(1): a second
+head skips entries beyond the interval's upper edge, which never come
+back in range as instants decrease (the monotone-window idea of Lemire's
+streaming min/max filter).
 
 For throughput the runner plants sanctioned markers for each key up front
 from the precomputed offset sets instead of emitting them record by
-record through ``map_step``; the two routes produce identical per-key
-streams after duplicate elimination (the mapper's marker instants are
-exactly the position set shifted by the key's offsets), which the test
-suite checks by driving the composed single-step operators directly.
+record through ``map_step``; the two routes' per-key streams differ only
+in markers the reducers ignore (repeats, markers at position instants and
+unsanctioned ones), so every key's output is identical (the mapper's
+sanctioned instants are exactly the position set shifted by the key's
+offsets).  The test suite checks this by driving the composed
+single-step operators directly.
 """
 
 from __future__ import annotations
@@ -37,7 +51,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
@@ -221,12 +234,15 @@ class _Inboxes:
 def atom_records(word: TimedWord, table: FormulaTable) -> dict[int, list[int]]:
     """The read step: one position record per trace element and atom key."""
     per_atom: dict[int, list[int]] = {}
-    names = [(node.name, table.id_of[node]) for node in table.nodes if isinstance(node, Atom)]
-    for name, aid in names:
-        per_atom[aid] = []
-    for atoms, tau in word.elements:
-        for name, aid in names:
-            per_atom[aid].append(pack_record(tau, aid, name in atoms, True, False))
+    for node in table.nodes:
+        if isinstance(node, Atom):
+            aid = table.id_of[node]
+            held = pack_record(0, aid, True, True, False)
+            absent = pack_record(0, aid, False, True, False)
+            per_atom[aid] = [
+                (tau << TAU_SHIFT) | (held if node.name in atoms else absent)
+                for atoms, tau in word.elements
+            ]
     return per_atom
 
 
@@ -235,32 +251,20 @@ def input_read(
     table: FormulaTable,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> tuple[TimedWord, dict[int, list[int]]]:
-    """Parse trace text in independent blocks and emit atom records.
+    """Parse trace text in one pass and emit atom records.
 
-    Block boundaries never change the produced records; parse failures are
-    reported with the failing block's starting line.
+    A parse failure names the failing line and the block of ``block_size``
+    lines holding it; block boundaries never change the produced records.
     """
     if block_size < 1:
         raise EngineError("block size must be at least 1")
-    all_lines = list(lines)
-    elements: list[tuple[frozenset[str], int]] = []
-    for start in range(0, len(all_lines), block_size):
-        block = all_lines[start : start + block_size]
-        meaningful = [
-            ln for ln in block
-            if (ln.decode("utf-8") if isinstance(ln, bytes) else ln).strip()
-            and not (ln.decode("utf-8") if isinstance(ln, bytes) else ln).lstrip().startswith("#")
-        ]
-        if not meaningful:
-            continue
-        try:
-            parsed = parse_trace_lines(block)
-        except TraceError as exc:
-            raise TraceError(f"block starting at line {start + 1}: {exc}") from exc
-        elements.extend(parsed.elements)
-    if not elements:
-        raise TraceError("empty trace")
-    word = TimedWord(tuple(elements))  # re-validates ordering across blocks
+    try:
+        word = parse_trace_lines(lines)
+    except TraceError as exc:
+        if exc.line is None:
+            raise
+        start = (exc.line - 1) // block_size * block_size + 1
+        raise TraceError(f"block starting at line {start}: {exc}") from exc
     return word, atom_records(word, table)
 
 
@@ -331,99 +335,25 @@ def shuffle_sort(records: list[int]) -> list[int]:
     return records
 
 
-def check_dup(records: Sequence[int], key_text: str = "?") -> list[int]:
-    """Collapse duplicates in a shuffled stream (idempotent).
-
-    A marker colliding with a position record at the same instant is
-    dropped (the position record already triggers emission there);
-    otherwise one marker per instant is kept.  Markers routinely share an
-    instant with unflagged value records — whenever a key and its operand
-    carry the same offset the operand's off-position value lands exactly
-    on the key's marker instant — so only position records suppress them.
-    Identical real duplicates collapse; real duplicates that disagree on
-    truth are an error.
-    """
-    out: list[int] = []
-    i = 0
-    n = len(records)
-    while i < n:
-        tau = records[i] >> TAU_SHIFT
-        saw_position = False
-        kept_marker = False
-        prev_child = -1
-        prev_truth = False
-        while i < n:
-            r = records[i]
-            if (r >> TAU_SHIFT) != tau:
-                break
-            child = (r >> 3) & CHILD_MASK
-            if child != ACT_CHILD:
-                truth = bool(r & TRUTH_FLAG)
-                if child == prev_child:
-                    if truth != prev_truth:
-                        raise EngineError(
-                            f"conflicting duplicate records for {key_text} at instant {tau}"
-                        )
-                else:
-                    out.append(r)
-                    prev_child = child
-                    prev_truth = truth
-                if r & POSITION_FLAG:
-                    saw_position = True
-            elif not saw_position and not kept_marker:
-                out.append(r)
-                kept_marker = True
-            i += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Reducers
 # ---------------------------------------------------------------------------
 
-def _interval_edges(interval) -> tuple[int, bool, Optional[int], bool, Optional[int], bool]:
-    span = convex_union_with_zero(interval)
-    return (
-        interval.lower,
-        interval.lower_closed,
-        interval.upper,
-        interval.upper_closed,
-        span.upper,
-        span.upper_closed,
-    )
+REAL_MASK = CHILD_MASK << 3  # nonzero exactly for real (non-marker) records
+COMPACT_AFTER = 1024  # evicted slots a window buffer keeps before compacting
 
 
-def _window_holds(win: deque, tau: int, lo: int, lo_closed: bool,
-                  up: Optional[int], up_closed: bool) -> bool:
-    """Whether the window holds an entry whose distance from tau is in range.
-
-    Entries arrive in descending order, so the leftmost entry is the
-    farthest ahead; when it is still within the upper edge a single
-    comparison settles the query, otherwise the nearest entries are
-    scanned first.
-    """
-    if not win:
-        return False
-    far = win[0] - tau
-    if up is None or far < up or (far == up and up_closed):
-        return far > lo or (far == lo and lo_closed)
-    for entry in reversed(win):
-        d = entry - tau
-        if d < lo or (d == lo and not lo_closed):
-            continue
-        return d < up or (d == up and up_closed)
-    return False
+def _closed_bounds(interval) -> tuple[int, Optional[int]]:
+    """An interval's integer members as closed bounds; upper None when
+    unbounded (timestamps, hence distances, are integers)."""
+    lo = interval.lower if interval.lower_closed else interval.lower + 1
+    if interval.upper is None:
+        return lo, None
+    return lo, interval.upper if interval.upper_closed else interval.upper - 1
 
 
-def _evict(win: deque, span_up: Optional[int], span_up_closed: bool) -> None:
-    if span_up is None:
-        return
-    while win:
-        spread = win[0] - win[-1]
-        if spread > span_up or (spread == span_up and not span_up_closed):
-            win.popleft()
-        else:
-            return
+def _conflict(key_text: str, tau: int) -> EngineError:
+    return EngineError(f"conflicting duplicate records for {key_text} at instant {tau}")
 
 
 def reduce_window(
@@ -435,6 +365,7 @@ def reduce_window(
     admit_any: bool = False,
     buffer_truth: bool = True,
     negate: bool = False,
+    key_text: str = "?",
 ) -> tuple[list[int], int]:
     """Sliding-window reducer for eventually / globally / exact-step keys.
 
@@ -442,9 +373,24 @@ def reduce_window(
     eventually and exact-step, violations for globally), keeps the buffer
     within the zero-widened interval span, and answers each emission
     instant by probing the buffer against the shifted interval.
+
+    The buffer ``win[head:]`` holds instants in descending order.  ``head``
+    evicts entries whose spread from the newest entry exceeds the span;
+    ``far`` skips entries beyond the interval's upper edge, which never
+    come back in range because instants only decrease.  A probe then reads
+    the farthest live entry, ``win[far]``, so each is amortized O(1).
+    Evicted slots are dropped in bulk once they outnumber the live ones, so
+    memory stays proportional to the window, not to the stream.
     """
-    lo, lo_closed, up, up_closed, span_up, span_up_closed = _interval_edges(interval)
-    win: deque = deque()
+    lo, up = _closed_bounds(interval)
+    span = _closed_bounds(convex_union_with_zero(interval))[1]
+    sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
+    sel_want = (child_id << 3) | (TRUTH_FLAG if buffer_truth else 0) | (
+        0 if admit_any else POSITION_FLAG
+    )
+    out_bits = out_key << 3
+    win: list[int] = []
+    head = far = 0
     outputs: list[int] = []
     peak = 0
     i = 0
@@ -453,42 +399,52 @@ def reduce_window(
         r = records[i]
         tau = r >> TAU_SHIFT
         emit = False
-        pos_out = False
+        pos_out = 0
+        prev = 0
         while True:
-            child = (r >> 3) & CHILD_MASK
-            if child == ACT_CHILD:
-                if r & SANCTIONED_FLAG:
-                    emit = True
-            else:
-                if r & POSITION_FLAG:
-                    emit = True
-                    pos_out = True
-                if (
-                    child == child_id
-                    and bool(r & TRUTH_FLAG) == buffer_truth
-                    and (admit_any or r & POSITION_FLAG)
-                ):
-                    win.append(tau)
+            if r & REAL_MASK:
+                dup = r ^ prev
+                if dup < 8:  # same instant and child as the previous record
+                    if dup & TRUTH_FLAG:
+                        raise _conflict(key_text, tau)
+                else:
+                    prev = r
+                    if r & POSITION_FLAG:
+                        emit = True
+                        pos_out = POSITION_FLAG
+                    if r & sel_mask == sel_want:
+                        win.append(tau)
+            elif r & SANCTIONED_FLAG:
+                emit = True
             i += 1
             if i >= n:
                 break
             r = records[i]
             if (r >> TAU_SHIFT) != tau:
                 break
-        if win:
-            _evict(win, span_up, span_up_closed)
-            if len(win) > peak:
-                peak = len(win)
+        end = len(win)
+        if head < end:
+            if span is not None:
+                nearest = win[-1]
+                while win[head] - nearest > span:
+                    head += 1
+                if head > COMPACT_AFTER and head > end - head:
+                    del win[:head]
+                    far -= head
+                    end -= head
+                    head = 0
+            if end - head > peak:
+                peak = end - head
         if emit:
-            val = _window_holds(win, tau, lo, lo_closed, up, up_closed)
+            if far < head:
+                far = head
+            if up is not None:
+                while far < end and win[far] - tau > up:
+                    far += 1
+            val = far < end and win[far] - tau >= lo
             if negate:
                 val = not val
-            outputs.append(
-                (tau << TAU_SHIFT)
-                | (out_key << 3)
-                | (POSITION_FLAG if pos_out else 0)
-                | (TRUTH_FLAG if val else 0)
-            )
+            outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
     return outputs, peak
 
 
@@ -498,12 +454,21 @@ def reduce_until(
     right_id: int,
     interval,
     out_key: int,
+    *,
+    key_text: str = "?",
 ) -> tuple[list[int], int]:
     """Until reducer: keeps the live right-witness instants, discards those
     cut off by a failing left operand at a position, and answers emission
-    instants from the surviving witnesses."""
-    lo, lo_closed, up, up_closed, span_up, span_up_closed = _interval_edges(interval)
-    live: deque = deque()
+    instants from the surviving witnesses.  The buffer and its probe are
+    reduce_window's."""
+    lo, up = _closed_bounds(interval)
+    span = _closed_bounds(convex_union_with_zero(interval))[1]
+    sel_mask = REAL_MASK | TRUTH_FLAG
+    right_true = (right_id << 3) | TRUTH_FLAG
+    left_false = left_id << 3
+    out_bits = out_key << 3
+    live: list[int] = []
+    head = far = 0
     outputs: list[int] = []
     peak = 0
     i = 0
@@ -512,44 +477,59 @@ def reduce_until(
         r = records[i]
         tau = r >> TAU_SHIFT
         emit = False
-        pos_out = False
+        pos_out = 0
         left_failed = False
+        prev = 0
         while True:
-            child = (r >> 3) & CHILD_MASK
-            if child == ACT_CHILD:
-                if r & SANCTIONED_FLAG:
-                    emit = True
-            else:
-                if r & POSITION_FLAG:
-                    emit = True
-                    pos_out = True
-                    truth = bool(r & TRUTH_FLAG)
-                    if child == right_id and truth:
-                        live.append(tau)
-                    if child == left_id and not truth:
-                        left_failed = True
+            if r & REAL_MASK:
+                dup = r ^ prev
+                if dup < 8:  # same instant and child as the previous record
+                    if dup & TRUTH_FLAG:
+                        raise _conflict(key_text, tau)
+                else:
+                    prev = r
+                    if r & POSITION_FLAG:
+                        emit = True
+                        pos_out = POSITION_FLAG
+                        selected = r & sel_mask
+                        if selected == right_true:
+                            live.append(tau)
+                        if selected == left_false:
+                            left_failed = True
+            elif r & SANCTIONED_FLAG:
+                emit = True
             i += 1
             if i >= n:
                 break
             r = records[i]
             if (r >> TAU_SHIFT) != tau:
                 break
-        _evict(live, span_up, span_up_closed)
-        if len(live) > peak:
-            peak = len(live)
+        end = len(live)
+        if head < end:
+            if span is not None:
+                nearest = live[-1]
+                while live[head] - nearest > span:
+                    head += 1
+                if head > COMPACT_AFTER and head > end - head:
+                    del live[:head]
+                    far -= head
+                    end -= head
+                    head = 0
+            if end - head > peak:
+                peak = end - head
         if emit:
-            val = _window_holds(live, tau, lo, lo_closed, up, up_closed)
-            outputs.append(
-                (tau << TAU_SHIFT)
-                | (out_key << 3)
-                | (POSITION_FLAG if pos_out else 0)
-                | (TRUTH_FLAG if val else 0)
-            )
+            if far < head:
+                far = head
+            if up is not None:
+                while far < end and live[far] - tau > up:
+                    far += 1
+            val = far < end and live[far] - tau >= lo
+            outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
         if left_failed:
             # a failing left operand at this position cuts continuity for
             # every earlier instant toward witnesses strictly beyond it
-            while live and live[0] > tau:
-                live.popleft()
+            while head < end and live[head] > tau:
+                head += 1
     return outputs, peak
 
 
@@ -568,8 +548,15 @@ def reduce_join(
     simply reads false, since atoms only ever have records at positions.
     Instants without an emission trigger are skipped silently — shared
     operands may legitimately stream values at a superset of instants.
+    A negation's single operand fills both operand slots.
     """
-    wanted = set(operand_ids)
+    left_bits = operand_ids[0] << 3
+    right_bits = operand_ids[-1] << 3
+    left_unset = 0 if operand_is_leaf[0] else None
+    right_unset = 0 if operand_is_leaf[-1] else None
+    negation = op == "not"
+    conjunction = op == "and"
+    out_bits = out_key << 3
     outputs: list[int] = []
     i = 0
     n = len(records)
@@ -577,19 +564,28 @@ def reduce_join(
         r = records[i]
         tau = r >> TAU_SHIFT
         emit = False
-        pos_out = False
-        values: dict[int, bool] = {}
+        pos_out = 0
+        left = left_unset
+        right = right_unset
+        prev = 0
         while True:
-            child = (r >> 3) & CHILD_MASK
-            if child == ACT_CHILD:
-                if r & SANCTIONED_FLAG:
-                    emit = True
-            else:
-                if r & POSITION_FLAG:
-                    emit = True
-                    pos_out = True
-                if child in wanted:
-                    values[child] = bool(r & TRUTH_FLAG)
+            if r & REAL_MASK:
+                dup = r ^ prev
+                if dup < 8:  # same instant and child as the previous record
+                    if dup & TRUTH_FLAG:
+                        raise _conflict(key_text, tau)
+                else:
+                    prev = r
+                    if r & POSITION_FLAG:
+                        emit = True
+                        pos_out = POSITION_FLAG
+                    child_bits = r & REAL_MASK
+                    if child_bits == left_bits:
+                        left = r & TRUTH_FLAG
+                    if child_bits == right_bits:
+                        right = r & TRUTH_FLAG
+            elif r & SANCTIONED_FLAG:
+                emit = True
             i += 1
             if i >= n:
                 break
@@ -598,28 +594,15 @@ def reduce_join(
                 break
         if not emit:
             continue
-        resolved = []
-        for oid, leaf in zip(operand_ids, operand_is_leaf):
-            if oid in values:
-                resolved.append(values[oid])
-            elif leaf:
-                resolved.append(False)
-            else:
-                raise EngineError(
-                    f"missing operand value for {key_text} at instant {tau}"
-                )
-        if op == "not":
-            val = not resolved[0]
-        elif op == "and":
-            val = resolved[0] and resolved[1]
+        if left is None or right is None:
+            raise EngineError(f"missing operand value for {key_text} at instant {tau}")
+        if negation:
+            val = not left
+        elif conjunction:
+            val = left and right
         else:
-            val = resolved[0] or resolved[1]
-        outputs.append(
-            (tau << TAU_SHIFT)
-            | (out_key << 3)
-            | (POSITION_FLAG if pos_out else 0)
-            | (TRUTH_FLAG if val else 0)
-        )
+            val = left or right
+        outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
     return outputs, 0
 
 
@@ -716,14 +699,17 @@ def _reduce_one(node_id: int, table: FormulaTable, spec, records: list[int]):
     records_in = len(records)
     shuffle_sort(records)
     key_text = to_text(table.node(node_id))
-    stream = check_dup(records, key_text)
     kind = spec[0]
     if kind == "window":
-        outputs, peak = reduce_window(stream, spec[1], spec[2], node_id, **spec[3])
+        outputs, peak = reduce_window(
+            records, spec[1], spec[2], node_id, key_text=key_text, **spec[3]
+        )
     elif kind == "until":
-        outputs, peak = reduce_until(stream, spec[1], spec[2], spec[3], node_id)
+        outputs, peak = reduce_until(
+            records, spec[1], spec[2], spec[3], node_id, key_text=key_text
+        )
     else:
-        outputs, peak = reduce_join(stream, spec[1], spec[2], spec[3], node_id, key_text)
+        outputs, peak = reduce_join(records, spec[1], spec[2], spec[3], node_id, key_text)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return outputs, peak, records_in, elapsed_ms
 

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Iterable, Optional, Union
 
 
 class TraceError(ValueError):
-    """Raised for malformed or non-monotonic trace input."""
+    """Raised for malformed or non-monotonic trace input.
+
+    ``line`` is the 1-based number of the offending line, when there is one.
+    """
+
+    def __init__(self, message: str, line: Optional[int] = None) -> None:
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,15 @@ def word(*elements: tuple[Iterable[str], int]) -> TimedWord:
     return TimedWord(tuple((frozenset(atoms), t) for atoms, t in elements))
 
 
-def _decode(line: Union[str, bytes]) -> str:
-    return line.decode("utf-8") if isinstance(line, bytes) else line
+def _decode(line: Union[str, bytes], number: int) -> str:
+    if isinstance(line, str):
+        return line
+    try:
+        return line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceError(
+            f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
+        ) from None
 
 
 def parse_trace_lines(lines: Iterable[Union[str, bytes]]) -> TimedWord:
@@ -63,19 +77,19 @@ def parse_trace_lines(lines: Iterable[Union[str, bytes]]) -> TimedWord:
     elements: list[tuple[frozenset[str], int]] = []
     previous: int | None = None
     for number, raw in enumerate(lines, start=1):
-        line = _decode(raw).strip()
+        line = _decode(raw, number).strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
         try:
             timestamp = int(tokens[0])
         except ValueError:
-            raise TraceError(f"line {number}: timestamp {tokens[0]!r} is not an integer") from None
+            raise TraceError(f"timestamp {tokens[0]!r} is not an integer", number) from None
         if timestamp <= 0:
-            raise TraceError(f"line {number}: timestamps must be strictly positive, got {timestamp}")
+            raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
         if previous is not None and timestamp <= previous:
             raise TraceError(
-                f"line {number}: non-monotonic timestamp {timestamp} (previous was {previous})"
+                f"non-monotonic timestamp {timestamp} (previous was {previous})", number
             )
         previous = timestamp
         elements.append((frozenset(tokens[1:]), timestamp))

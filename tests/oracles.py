@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to pin down expected values.
 
 Everything here is deliberately written from the semantic definitions with
-plain recursion and enumeration, sharing only the AST / word classes with
-the package (representation, not behavior).  Package evaluators, rewrites,
-and the pipeline are judged against these.
+plain recursion and enumeration, sharing only the AST / word classes and
+the packed record layout with the package (representation, not behavior),
+plus the reducers' input order, ``shuffle_sort``.  Package evaluators,
+rewrites, reducers and the pipeline are judged against these.
 """
 
 from __future__ import annotations
@@ -14,6 +15,17 @@ from typing import Iterable, Optional, Sequence
 
 from hypothesis import strategies as st
 
+from mtlcheck.engine import (
+    ACT_CHILD,
+    CHILD_MASK,
+    POSITION_FLAG,
+    SANCTIONED_FLAG,
+    TAU_SHIFT,
+    TRUTH_FLAG,
+    EngineError,
+    pack_record,
+    shuffle_sort,
+)
 from mtlcheck.formula import (
     Act,
     And,
@@ -263,6 +275,152 @@ def naive_lazy_rational(w: TimedWord, t: Fraction, f: Formula, denominator: int,
         raise TypeError(f"unknown node {f!r}")
     memo[key] = value
     return value
+
+
+# ---------------------------------------------------------------------------
+# Reducer oracles: per-instant brute force over deduplicated streams
+# ---------------------------------------------------------------------------
+
+def check_dup(records: Sequence[int], key_text: str = "?") -> list[int]:
+    """Collapse duplicates in a shuffled stream (idempotent).
+
+    A marker colliding with a position record at the same instant is
+    dropped (the position record already triggers emission there);
+    otherwise one marker per instant is kept.  Markers routinely share an
+    instant with unflagged value records — whenever a key and its operand
+    carry the same offset the operand's off-position value lands exactly
+    on the key's marker instant — so only position records suppress them.
+    Identical real duplicates collapse; real duplicates that disagree on
+    truth are an error.
+    """
+    out: list[int] = []
+    i = 0
+    n = len(records)
+    while i < n:
+        tau = records[i] >> TAU_SHIFT
+        saw_position = False
+        kept_marker = False
+        prev_child = -1
+        prev_truth = False
+        while i < n:
+            r = records[i]
+            if (r >> TAU_SHIFT) != tau:
+                break
+            child = (r >> 3) & CHILD_MASK
+            if child != ACT_CHILD:
+                truth = bool(r & TRUTH_FLAG)
+                if child == prev_child:
+                    if truth != prev_truth:
+                        raise EngineError(
+                            f"conflicting duplicate records for {key_text} at instant {tau}"
+                        )
+                else:
+                    out.append(r)
+                    prev_child = child
+                    prev_truth = truth
+                if r & POSITION_FLAG:
+                    saw_position = True
+            elif not saw_position and not kept_marker:
+                out.append(r)
+                kept_marker = True
+            i += 1
+    return out
+
+
+Group = list[tuple[int, bool, bool]]
+
+
+def _instant_groups(records: Sequence[int], key_text: str) -> list[tuple[int, Group]]:
+    """check_dup(shuffle_sort(records)) grouped by instant, latest first, as
+    (child, truth, position) triples; a marker is (ACT_CHILD, sanctioned, False)."""
+    groups: dict[int, Group] = {}
+    for r in check_dup(shuffle_sort(list(records)), key_text):
+        child = (r >> 3) & CHILD_MASK
+        flag = bool(r & (SANCTIONED_FLAG if child == ACT_CHILD else TRUTH_FLAG))
+        groups.setdefault(r >> TAU_SHIFT, []).append((child, flag, bool(r & POSITION_FLAG)))
+    return list(groups.items())
+
+
+def _emission(group: Group) -> tuple[bool, bool]:
+    """Whether an instant is answered, and whether it is a position."""
+    position = any(child != ACT_CHILD and pos for child, _, pos in group)
+    sanctioned = any(child == ACT_CHILD and flag for child, flag, _ in group)
+    return position or sanctioned, position
+
+
+def _retained(buffered: list[int], iv: Interval) -> int:
+    """Buffered instants within the window span (iv widened to zero) of the
+    nearest one."""
+    if not buffered:
+        return 0
+    nearest = min(buffered)
+    span = Interval(0, iv.upper, True, iv.upper_closed)
+    return sum(1 for t in buffered if _contains_fraction(span, Fraction(t - nearest)))
+
+
+def naive_reduce_window(records, child_id, iv, out_key, *, admit_any=False,
+                        buffer_truth=True, negate=False, key_text="?"):
+    """(outputs, peak buffer) of a window key, by scanning every buffered
+    instant at every emission instant."""
+    buffered: list[int] = []
+    outputs: list[int] = []
+    peak = 0
+    for tau, group in _instant_groups(records, key_text):
+        buffered += [
+            tau for child, truth, pos in group
+            if child == child_id and truth == buffer_truth and (admit_any or pos)
+        ]
+        peak = max(peak, _retained(buffered, iv))
+        emit, pos_out = _emission(group)
+        if emit:
+            held = any(_contains_fraction(iv, Fraction(t - tau)) for t in buffered)
+            outputs.append(pack_record(tau, out_key, held != negate, pos_out, False))
+    return outputs, peak
+
+
+def naive_reduce_until(records, left_id, right_id, iv, out_key, *, key_text="?"):
+    """(outputs, peak buffer) of an until key: a right witness at a position
+    counts when no left failure at a position lies strictly between."""
+    witnesses: list[int] = []
+    failures: list[int] = []
+    outputs: list[int] = []
+    peak = 0
+    for tau, group in _instant_groups(records, key_text):
+        at_positions = [
+            (child, truth) for child, truth, pos in group if child != ACT_CHILD and pos
+        ]
+        witnesses += [tau for child, truth in at_positions if child == right_id and truth]
+        live = [w for w in witnesses if not any(tau < t < w for t in failures)]
+        peak = max(peak, _retained(live, iv))
+        emit, pos_out = _emission(group)
+        if emit:
+            held = any(_contains_fraction(iv, Fraction(w - tau)) for w in live)
+            outputs.append(pack_record(tau, out_key, held, pos_out, False))
+        failures += [tau for child, truth in at_positions if child == left_id and not truth]
+    return outputs, peak
+
+
+def naive_reduce_join(records, operand_ids, operand_is_leaf, op, out_key, key_text="?"):
+    """(outputs, 0) of a boolean key, operand values looked up per instant."""
+    outputs: list[int] = []
+    for tau, group in _instant_groups(records, key_text):
+        emit, pos_out = _emission(group)
+        if not emit:
+            continue
+        values = {child: truth for child, truth, _ in group if child != ACT_CHILD}
+        resolved = []
+        for oid, leaf in zip(operand_ids, operand_is_leaf):
+            if oid not in values and not leaf:
+                raise EngineError(f"missing operand value for {key_text} at instant {tau}")
+            resolved.append(values.get(oid, False))
+        if op == "not":
+            val = not resolved[0]
+        elif op == "and":
+            val = resolved[0] and resolved[1]
+        else:
+            val = resolved[0] or resolved[1]
+        outputs.append(pack_record(tau, out_key, val, pos_out, False))
+    return outputs, 0
 
 
 # ---------------------------------------------------------------------------

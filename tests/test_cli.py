@@ -157,6 +157,8 @@ class TestCheck:
         ["-f", "F[3,7] p", "--workers", "0"],                       # bad workers
         ["-f", "F[2,inf) p", "--k", "4"],                           # unbounded budget
         ["-f", "G p", "--semantics", "lazy", "--oracle"],           # unbounded lazy
+        ["-f", "F[3,7] p", "--spill-budget", "-1"],                 # bad spill budget
+        ["-f", "F[3,7] p", "--spill-budget", "0"],                  # bad spill budget
     ])
     def test_config_errors_exit_2(self, capsys, trace_file, argv_tail):
         assert main(["check", trace_file] + argv_tail) == 2
@@ -169,6 +171,24 @@ class TestCheck:
         path.write_text("foo p\n", encoding="utf-8")
         assert main(["check", str(path), "-f", "p"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_utf8_trace_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"1 p\n2 \xff q\n")
+        assert main(["check", str(path), "-f", "p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "line 2" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_missing_spill_directory_exit_2(self, capsys, trace_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("MTLCHECK_TMPDIR", str(tmp_path / "nonexistent"))
+        code = main(["check", trace_file, "-f", "F[3,7] p",
+                     "--semantics", "lazy", "--k", "3", "--spill-budget", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_missing_trace_file_exit_2(self, capsys, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "-f", "p"]) == 2

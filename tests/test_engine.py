@@ -3,18 +3,19 @@
 import os
 import random
 from collections import defaultdict
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtlcheck import engine
 from mtlcheck.engine import (
     ACT_CHILD,
     EngineError,
     _reduce_one,
     _reducer_spec,
     atom_records,
-    check_dup,
     compute_offsets,
     decode_spill_frames,
     encode_spill_frame,
@@ -27,6 +28,9 @@ from mtlcheck.engine import (
     record_sanctioned,
     record_tau,
     record_truth,
+    reduce_join,
+    reduce_until,
+    reduce_window,
     run_pipeline,
     run_pipeline_from_lines,
     shuffle_sort,
@@ -36,7 +40,17 @@ from mtlcheck.formula import Atom, ExactStep, Interval, analyze, parse_formula, 
 from mtlcheck.semantics import ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
 from mtlcheck.trace import TraceError, word
 from mtlcheck.transforms import lazy_translation
-from oracles import formulas, random_formula, random_word, words
+from oracles import (
+    check_dup,
+    formulas,
+    intervals,
+    naive_reduce_join,
+    naive_reduce_until,
+    naive_reduce_window,
+    random_formula,
+    random_word,
+    words,
+)
 
 EXAMPLE_WORD = word(
     (("p",), 1), (("p",), 2), ((), 4), (("p",), 6),
@@ -290,6 +304,128 @@ class TestShuffleAndDedup:
         except EngineError:
             return
         assert check_dup(once) == once
+
+
+KEY, LEFT, RIGHT = 9, 3, 4
+
+# Reducer kind -> (engine reducer, oracle, positional args, keyword args).
+# Joins take their leaf flags from the test.
+REDUCER_KINDS = {
+    "eventually": (reduce_window, naive_reduce_window, (LEFT,),
+                   dict(admit_any=False, buffer_truth=True, negate=False)),
+    "globally": (reduce_window, naive_reduce_window, (LEFT,),
+                 dict(admit_any=False, buffer_truth=False, negate=True)),
+    "exact-step": (reduce_window, naive_reduce_window, (LEFT,),
+                   dict(admit_any=True, buffer_truth=True, negate=False)),
+    "until": (reduce_until, naive_reduce_until, (LEFT, RIGHT), {}),
+    "until-same": (reduce_until, naive_reduce_until, (LEFT, LEFT), {}),
+    "not": (reduce_join, naive_reduce_join, ((LEFT,),), {}),
+    "and": (reduce_join, naive_reduce_join, ((LEFT, RIGHT),), {}),
+    "or": (reduce_join, naive_reduce_join, ((LEFT, RIGHT),), {}),
+}
+
+
+def _run_reducer(fn, records, kind, iv, leafs):
+    """A reducer's (outputs, peak), or the EngineError text it raised."""
+    args = REDUCER_KINDS[kind][2]
+    kwargs = REDUCER_KINDS[kind][3]
+    try:
+        if fn in (reduce_join, naive_reduce_join):
+            return fn(records, args[0], leafs[: len(args[0])], kind, KEY, "k")
+        return fn(records, *args, iv, KEY, key_text="k", **kwargs)
+    except EngineError as exc:
+        return str(exc)
+
+
+@st.composite
+def raw_streams(draw, children, max_instant=16):
+    """Unsorted, undeduplicated key streams: real records of the given
+    children plus identical copies of some, and sanctioned and unsanctioned
+    markers that repeat and land on position instants.  No two real records
+    of one child at one instant disagree."""
+    records = []
+    for t in draw(st.lists(st.integers(min_value=0, max_value=max_instant), unique=True,
+                           max_size=12)):
+        position = draw(st.booleans())
+        for c in children:
+            if draw(st.integers(min_value=0, max_value=5)):  # operands mostly present
+                records.append(pack_record(t, c, draw(st.booleans()), position, False))
+    if records:
+        records += draw(st.lists(st.sampled_from(records), max_size=8))
+    markers = draw(st.lists(st.tuples(
+        st.integers(min_value=0, max_value=max_instant), st.booleans()), max_size=20))
+    if markers:
+        markers += draw(st.lists(st.sampled_from(markers), max_size=8))
+    records += [pack_record(t, ACT_CHILD, False, False, sanctioned) for t, sanctioned in markers]
+    return draw(st.permutations(records))
+
+
+def _probe_intervals(shape):
+    bounds = (st.integers(min_value=0, max_value=30), st.integers(min_value=1, max_value=30))
+    if shape == "lower-bounded":
+        return st.builds(lambda lo, w: Interval(lo + 1, lo + w), *bounds)
+    if shape == "open-edged":
+        return st.builds(
+            lambda lo, w, closed: Interval(lo, lo + w, closed, not closed),
+            *bounds, st.booleans(),
+        ) | st.builds(lambda lo, w: Interval(lo, lo + w, False, False), *bounds)
+    return st.builds(
+        lambda lo, closed: Interval(lo, None, closed, False), bounds[0], st.booleans()
+    )
+
+
+class TestFusedReducers:
+    """The reducers deduplicate their raw shuffled input themselves; each
+    must answer like a per-instant brute force over check_dup's output."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_reducers_match_the_oracle_on_raw_streams(self, data):
+        kind = data.draw(st.sampled_from(sorted(REDUCER_KINDS)))
+        iv = data.draw(intervals(max_bound=12, allow_unbounded=True))
+        leafs = (data.draw(st.booleans()), data.draw(st.booleans()))
+        children = [LEFT] if kind in ("eventually", "globally", "exact-step", "not",
+                                      "until-same") else [LEFT, RIGHT]
+        records = data.draw(raw_streams(children))
+        got = _run_reducer(REDUCER_KINDS[kind][0], shuffle_sort(list(records)), kind, iv, leafs)
+        want = _run_reducer(REDUCER_KINDS[kind][1], records, kind, iv, leafs)
+        assert got == want
+
+    @pytest.mark.parametrize("shape", ["lower-bounded", "open-edged", "unbounded"])
+    @pytest.mark.parametrize("kind", ["eventually", "globally", "until"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_probe_matches_a_linear_scan(self, shape, kind, data):
+        iv = data.draw(_probe_intervals(shape))
+        instants = data.draw(st.lists(
+            st.integers(min_value=1, max_value=400), min_size=1, max_size=150, unique=True))
+        density = data.draw(st.floats(min_value=0.05, max_value=0.95))
+        rng = random.Random(data.draw(st.integers(min_value=0, max_value=2**16)))
+        records = []
+        for t in instants:
+            records.append(pack_record(t, RIGHT if kind == "until" else LEFT,
+                                       rng.random() < density, True, False))
+            if kind == "until":
+                records.append(pack_record(t, LEFT, rng.random() < 0.97, True, False))
+            if rng.random() < 0.3:
+                records.append(pack_record(t + rng.randint(1, 9), ACT_CHILD, False, False, True))
+        compact_after = data.draw(st.sampled_from([1, 3, engine.COMPACT_AFTER]))
+        with mock.patch.object(engine, "COMPACT_AFTER", compact_after):
+            got = _run_reducer(REDUCER_KINDS[kind][0], shuffle_sort(list(records)), kind, iv, ())
+        want = _run_reducer(REDUCER_KINDS[kind][1], records, kind, iv, ())
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["eventually", "until", "and"])
+    def test_conflicting_duplicates_error(self, kind):
+        child = RIGHT if kind == "until" else LEFT
+        records = shuffle_sort([
+            pack_record(7, child, True, True, False),
+            pack_record(5, child, True, True, False),
+            pack_record(5, child, False, True, False),
+        ])
+        fn = REDUCER_KINDS[kind][0]
+        got = _run_reducer(fn, records, kind, Interval(0, 3), (True, True))
+        assert got == "conflicting duplicate records for k at instant 5"
 
 
 class TestReducers:

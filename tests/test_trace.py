@@ -66,6 +66,8 @@ class TestParsing:
             parse_trace_lines(["1 p", "0 q"])
         with pytest.raises(TraceError, match="line 1"):
             parse_trace_lines(["x p"])
+        with pytest.raises(TraceError, match="line 2: byte 0xff at column 3"):
+            parse_trace_lines([b"1 p", b"2 \xff"])
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceError):
