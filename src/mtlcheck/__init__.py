@@ -71,9 +71,7 @@ from .engine import (
     RunStats,
     compute_offsets,
     input_read,
-    map_step,
     run_pipeline,
-    run_pipeline_from_lines,
 )
 
 __version__ = "0.1.0"
@@ -126,8 +124,6 @@ __all__ = [
     "RunStats",
     "compute_offsets",
     "input_read",
-    "map_step",
     "run_pipeline",
-    "run_pipeline_from_lines",
     "__version__",
 ]

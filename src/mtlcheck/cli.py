@@ -32,13 +32,8 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .engine import (
-    DEFAULT_BLOCK_SIZE,
-    EngineError,
-    input_read,
-    run_pipeline,
-)
-from .formula import FormulaError, analyze, parse_formula, to_text
+from .engine import EngineError, input_read, run_pipeline
+from .formula import FormulaError, parse_formula, to_text
 from .semantics import (
     ANCHOR_FIRST,
     ANCHOR_ZERO,
@@ -94,8 +89,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail("--k must be a positive integer")
     if args.workers < 1:
         return _fail("--workers must be a positive integer")
-    if args.spill_budget is not None and args.spill_budget < 1:
-        return _fail("--spill-budget must be a positive integer")
     if anchor == ANCHOR_ZERO and semantics != LAZY:
         return _fail("--anchor zero requires --semantics lazy")
     if semantics == LAZY and not args.oracle and budget is None:
@@ -109,12 +102,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     try:
-        lines = _read_trace_bytes(args.trace).splitlines()
-        word, _ = input_read(lines, analyze(formula), args.block_size)
-    except (TraceError, EngineError, OSError) as exc:
+        word, first_instant = input_read(_read_trace_bytes(args.trace).splitlines())
+    except (TraceError, OSError) as exc:
         return _fail(str(exc))
 
-    anchor_instant = 0 if anchor == ANCHOR_ZERO else word.timestamps[0]
+    anchor_instant = 0 if anchor == ANCHOR_ZERO else first_instant
 
     try:
         if args.oracle:
@@ -132,14 +124,11 @@ def cmd_check(args: argparse.Namespace) -> int:
                 window_budget=budget,
                 anchor=anchor,
                 workers=args.workers,
-                spill_budget=args.spill_budget,
             )
             verdict_value = result.verdict
             stats = result.stats
     except (TransformError, EvaluationError, EngineError) as exc:
         return _fail(str(exc))
-    except OSError as exc:  # spill segments could not be written or read
-        return _fail(f"spill: {exc}")
 
     if args.table is not None:
         try:
@@ -307,14 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--workers", type=int, default=1, help="reducer thread count")
     p_check.add_argument(
-        "--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
-        help="trace read block size in lines",
-    )
-    p_check.add_argument(
-        "--spill-budget", type=int, default=None,
-        help="in-memory record budget before buffers spill to disk",
-    )
-    p_check.add_argument(
         "--stats", action="store_true",
         help="print the pipeline statistics envelope as JSON",
     )
@@ -375,7 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # a defect, not a verdict: exit 1 would read as false
+        message = " ".join(str(exc).split())
+        return _fail(f"internal error: {type(exc).__name__}: {message}")
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 The pipeline evaluates one key per distinct subformula.  A read step turns
 trace elements into atom records; each later iteration reduces all keys of
 the next height, so a run takes as many iterations as the formula is tall.
-Mappers route every record to the keys of its superformulas and, for
-position records, plant virtual-instant markers; reducers process one
+Every key's output is routed to the keys of its superformulas, and each
+key also receives sanctioned virtual-instant markers; reducers process one
 key's records in descending timestamp order with a sliding window whose
 retention span is the key's interval widened to zero.
 
@@ -36,20 +36,21 @@ head skips entries beyond the interval's upper edge, which never come
 back in range as instants decrease (the monotone-window idea of Lemire's
 streaming min/max filter).
 
-For throughput the runner plants sanctioned markers for each key up front
-from the precomputed offset sets instead of emitting them record by
-record through ``map_step``; the two routes' per-key streams differ only
-in markers the reducers ignore (repeats, markers at position instants and
-unsanctioned ones), so every key's output is identical (the mapper's
-sanctioned instants are exactly the position set shifted by the key's
-offsets).  The test suite checks this by driving the composed
-single-step operators directly.
+The runner keeps one inbox list per key and reduces one height at a time.
+A key's sanctioned markers are planted from the precomputed offset sets
+only when its height is reduced, and each key's inbox is dropped as soon
+as it has been reduced, so the records alive at any time are the current
+height's inputs plus the outputs already routed to taller keys.  Planting
+markers per key instead of record by record through a mapper changes no
+output: the mapper's sanctioned instants are exactly the position set
+shifted by the key's offsets, and the markers it would add beyond those
+(repeats, markers at position instants and unsanctioned ones) are ones the
+reducers ignore.  The test suite pins this against a record-by-record
+mapper oracle.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -68,13 +69,12 @@ from .formula import (
     Or,
     Until,
     analyze,
-    children,
     convex_union_with_zero,
     node_interval,
     to_text,
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
-from .trace import TimedWord, TraceError, parse_trace_lines
+from .trace import TimedWord, parse_trace_lines
 from .transforms import pipeline_formula
 
 ACT_CHILD = 0
@@ -86,10 +86,6 @@ POSITION_FLAG = 2
 SANCTIONED_FLAG = 4
 
 BYTES_PER_RECORD_ESTIMATE = 16  # window entries held as packed 16-byte slots
-
-DEFAULT_BLOCK_SIZE = 4096
-
-TMPDIR_ENV = "MTLCHECK_TMPDIR"
 
 
 class EngineError(RuntimeError):
@@ -128,106 +124,6 @@ def record_sanctioned(r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Spill framing
-# ---------------------------------------------------------------------------
-
-def write_varint(buf: bytearray, value: int) -> None:
-    if value < 0:
-        raise ValueError("varints encode non-negative integers")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            return
-
-
-def read_varint(data: bytes, pos: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-
-
-def encode_spill_frame(buf: bytearray, key: int, record: int) -> None:
-    """Frame layout: key id, child id, one truth/flags byte, timestamp."""
-    write_varint(buf, key)
-    write_varint(buf, record_child(record))
-    buf.append(record & 7)
-    write_varint(buf, record_tau(record))
-
-
-def decode_spill_frames(data: bytes) -> Iterable[tuple[int, int]]:
-    pos = 0
-    end = len(data)
-    while pos < end:
-        key, pos = read_varint(data, pos)
-        child, pos = read_varint(data, pos)
-        flags = data[pos]
-        pos += 1
-        tau, pos = read_varint(data, pos)
-        yield key, (tau << TAU_SHIFT) | (child << 3) | flags
-    if pos != end:
-        raise EngineError("truncated spill frame")
-
-
-class _Inboxes:
-    """Per-key record buffers that spill to disk over a record budget."""
-
-    def __init__(self, spill_budget: Optional[int], tmpdir: Optional[str]) -> None:
-        self.lists: dict[int, list[int]] = {}
-        self.budget = spill_budget
-        self.buffered = 0
-        self.segments: list[str] = []
-        self.dir = tmpdir or os.environ.get(TMPDIR_ENV) or tempfile.gettempdir()
-
-    def extend(self, key: int, records: Sequence[int]) -> None:
-        self.lists.setdefault(key, []).extend(records)
-        if self.budget is not None:
-            self.buffered += len(records)
-            if self.buffered > self.budget:
-                self._spill()
-
-    def _spill(self) -> None:
-        buf = bytearray()
-        for key in sorted(self.lists):
-            for record in self.lists[key]:
-                encode_spill_frame(buf, key, record)
-        path = os.path.join(
-            self.dir, f"mtlcheck-spill-{os.getpid()}-{id(self)}-{len(self.segments)}.bin"
-        )
-        with open(path, "wb") as fh:
-            fh.write(buf)
-        self.segments.append(path)
-        self.lists.clear()
-        self.buffered = 0
-
-    def consume(self, key: int) -> list[int]:
-        records = self.lists.pop(key, [])
-        for path in self.segments:
-            with open(path, "rb") as fh:
-                data = fh.read()
-            records.extend(rec for frame_key, rec in decode_spill_frames(data) if frame_key == key)
-        return records
-
-    def close(self) -> None:
-        for path in self.segments:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self.segments.clear()
-        self.lists.clear()
-
-
-# ---------------------------------------------------------------------------
 # Pipeline operators
 # ---------------------------------------------------------------------------
 
@@ -246,26 +142,12 @@ def atom_records(word: TimedWord, table: FormulaTable) -> dict[int, list[int]]:
     return per_atom
 
 
-def input_read(
-    lines: Sequence[Union[str, bytes]],
-    table: FormulaTable,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> tuple[TimedWord, dict[int, list[int]]]:
-    """Parse trace text in one pass and emit atom records.
-
-    A parse failure names the failing line and the block of ``block_size``
-    lines holding it; block boundaries never change the produced records.
-    """
-    if block_size < 1:
-        raise EngineError("block size must be at least 1")
-    try:
-        word = parse_trace_lines(lines)
-    except TraceError as exc:
-        if exc.line is None:
-            raise
-        start = (exc.line - 1) // block_size * block_size + 1
-        raise TraceError(f"block starting at line {start}: {exc}") from exc
-    return word, atom_records(word, table)
+def input_read(lines: Iterable[Union[str, bytes]]) -> tuple[TimedWord, int]:
+    """Parse trace text in one pass; returns the word and its first
+    timestamp, the instant a verdict is read at by default.  A parse
+    failure raises ``TraceError`` naming the failing line."""
+    word = parse_trace_lines(lines)
+    return word, word.elements[0][1]
 
 
 def compute_offsets(table: FormulaTable) -> dict[int, frozenset[int]]:
@@ -291,40 +173,6 @@ def compute_offsets(table: FormulaTable) -> dict[int, frozenset[int]]:
             for child in table.child_ids[node_id]:
                 working[child] |= contribution
     return {i: frozenset(s) for i, s in working.items()}
-
-
-def map_step(
-    key_id: int,
-    record: int,
-    table: FormulaTable,
-    offsets: dict[int, frozenset[int]],
-) -> list[tuple[int, int]]:
-    """Map one record of one key to the records it contributes upstream.
-
-    Every record is routed to each superformula key.  A position record
-    additionally plants sanctioned markers at the parent's offset instants
-    and, under a decomposition-made exact-step parent, an (unsanctioned)
-    marker one step ahead.  The function is pure: output depends only on
-    the record and the job's static tables.
-    """
-    outs: list[tuple[int, int]] = []
-    tau = record >> TAU_SHIFT
-    is_real = ((record >> 3) & CHILD_MASK) != ACT_CHILD
-    flagged = bool(record & POSITION_FLAG)
-    for parent_id in sorted(table.parent_ids[key_id]):
-        outs.append((parent_id, record))
-        if is_real and flagged:
-            for off in sorted(offsets.get(parent_id, frozenset((0,)))):
-                if off:
-                    outs.append(
-                        (parent_id, pack_record(tau + off, ACT_CHILD, False, False, True))
-                    )
-            parent = table.node(parent_id)
-            if isinstance(parent, ExactStep) and parent.lazy_marker:
-                outs.append(
-                    (parent_id, pack_record(tau + parent.step, ACT_CHILD, False, False, False))
-                )
-    return outs
 
 
 def shuffle_sort(records: list[int]) -> list[int]:
@@ -662,12 +510,6 @@ class PipelineResult:
         return self.streams[self.table.id_of[f]]
 
 
-def _contains_markers(f: Formula) -> bool:
-    if isinstance(f, (Act, ExactStep)):
-        return True
-    return any(_contains_markers(c) for c in children(f))
-
-
 def _reducer_spec(node: Formula, table: FormulaTable):
     node_id = table.id_of[node]
     kids = table.child_ids[node_id]
@@ -746,8 +588,6 @@ def run_pipeline(
     window_budget: Optional[int] = None,
     anchor: str = ANCHOR_FIRST,
     workers: int = 1,
-    spill_budget: Optional[int] = None,
-    tmpdir: Optional[str] = None,
     collect_streams: bool = False,
 ) -> PipelineResult:
     """Check a formula over a timed word with the MapReduce-style pipeline.
@@ -772,112 +612,96 @@ def run_pipeline(
     if window_budget is not None:
         run_root, guard_map = pipeline_formula(formula, window_budget)
     else:
-        if _contains_markers(formula):
-            raise EngineError("point-mode input must not contain marker nodes")
         run_root = formula
-        guard_map = {}
     table = analyze(run_root)
-    if window_budget is None:
+    lazy_mode = window_budget is not None
+    if not lazy_mode:
+        if any(isinstance(node, (ExactStep, Act)) for node in table.nodes):
+            raise EngineError("point-mode input must not contain marker nodes")
         guard_map = {node: node for node in table.nodes}
     if table.size >= CHILD_MASK:
         raise EngineError("formula too large for the record encoding")
-    lazy_mode = window_budget is not None
     offsets = (
         compute_offsets(table)
         if lazy_mode
         else {i: frozenset((0,)) for i in range(1, table.size + 1)}
     )
-    anchor_instant = 0 if anchor == ANCHOR_ZERO else word.timestamps[0]
-
     positions = word.timestamps
     position_set = set(positions)
-    inboxes = _Inboxes(spill_budget, tmpdir)
+    anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
+    inboxes: dict[int, list[int]] = {}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
+
+    # Records move between keys only through these helpers, so no local
+    # name keeps a consumed inbox or a routed output alive into the next
+    # height.
+    def route(key_id: int, records: list[int]) -> None:
+        for parent_id in table.parent_ids[key_id]:
+            inboxes.setdefault(parent_id, []).extend(records)
+        if streams is not None:
+            streams[key_id] = records
+
+    def take(key_id: int) -> list[int]:
+        """A key's inbox plus, in lazy mode, its sanctioned markers.  Runs in
+        worker threads; ``inboxes`` is only written between heights."""
+        records = inboxes.pop(key_id, [])
+        if lazy_mode:
+            extra = offsets[key_id] if anchor == ANCHOR_ZERO else ()
+            records += [
+                (t << TAU_SHIFT) | SANCTIONED_FLAG
+                for t in _seed_instants(positions, position_set, offsets[key_id], extra)
+            ]
+        return records
 
     # read step: atom records, routed to each atom's superformula keys
     per_atom = atom_records(word, table)
-    for aid, recs in per_atom.items():
-        for parent_id in table.parent_ids[aid]:
-            inboxes.extend(parent_id, recs)
-        if streams is not None:
-            streams[aid] = list(recs)
-
-    # sanctioned markers, planted from the offset tables
-    if lazy_mode:
-        for node_id in range(1, table.size + 1):
-            node = table.node(node_id)
-            if isinstance(node, (Atom, Act)):
-                continue
-            extra = offsets[node_id] if anchor == ANCHOR_ZERO else ()
-            instants = _seed_instants(
-                positions, position_set, offsets[node_id], extra
-            )
-            if instants:
-                inboxes.extend(
-                    node_id,
-                    [pack_record(t, ACT_CHILD, False, False, True) for t in instants],
-                )
+    while per_atom:
+        route(*per_atom.popitem())
 
     specs = {
         table.id_of[node]: _reducer_spec(node, table)
         for node in table.nodes
         if not isinstance(node, (Atom, Act))
     }
-    if not lazy_mode:
-        for node in table.nodes:
-            if isinstance(node, (ExactStep, Act)):
-                raise EngineError("point-mode input must not contain marker nodes")
+
+    def run_bucket(bucket: list[int]):
+        return [(kid, _reduce_one(kid, table, specs[kid], take(kid))) for kid in bucket]
 
     reducer_rows: list[ReducerStats] = []
-    peak_global = 0
     root_id = table.root_id
     root_outputs: Optional[list[int]] = None
     total_height = table.height
+
+    def finish(kid: int, outputs: list[int], peak: int, records_in: int, elapsed_ms: float) -> None:
+        nonlocal root_outputs
+        reducer_rows.append(
+            ReducerStats(
+                reducer_key=to_text(table.node(kid)),
+                peak_win=peak,
+                records_in=records_in,
+                records_out=len(outputs),
+                iteration_ms=elapsed_ms,
+            )
+        )
+        route(kid, outputs)
+        if kid == root_id:
+            root_outputs = outputs
 
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for height in range(2, total_height + 1):
             key_ids = table.ids_at_height(height)
             reducer_count = min(len(key_ids), workers)
-            tasks = [(kid, inboxes.consume(kid)) for kid in key_ids]
-            buckets: list[list[tuple[int, list[int]]]] = [[] for _ in range(reducer_count)]
-            for kid, recs in tasks:
-                buckets[kid % reducer_count].append((kid, recs))
-
-            def run_bucket(bucket):
-                return [
-                    (kid, _reduce_one(kid, table, specs[kid], recs))
-                    for kid, recs in bucket
-                ]
-
-            if pool is not None and reducer_count > 1:
-                bucket_results = list(pool.map(run_bucket, buckets))
-            else:
-                bucket_results = [run_bucket(b) for b in buckets]
-            by_key = {kid: res for chunk in bucket_results for kid, res in chunk}
+            buckets: list[list[int]] = [[] for _ in range(reducer_count)]
             for kid in key_ids:
-                outputs, peak, records_in, elapsed_ms = by_key[kid]
-                reducer_rows.append(
-                    ReducerStats(
-                        reducer_key=to_text(table.node(kid)),
-                        peak_win=peak,
-                        records_in=records_in,
-                        records_out=len(outputs),
-                        iteration_ms=elapsed_ms,
-                    )
-                )
-                if peak > peak_global:
-                    peak_global = peak
-                for parent_id in table.parent_ids[kid]:
-                    inboxes.extend(parent_id, outputs)
-                if streams is not None:
-                    streams[kid] = outputs
-                if kid == root_id:
-                    root_outputs = outputs
+                buckets[kid % reducer_count].append(kid)
+            run = pool.map if pool is not None and reducer_count > 1 else map
+            by_key = {kid: res for chunk in run(run_bucket, buckets) for kid, res in chunk}
+            for kid in key_ids:
+                finish(kid, *by_key.pop(kid))
     finally:
         if pool is not None:
             pool.shutdown(wait=True)
-        inboxes.close()
 
     if total_height == 1:
         verdict_value = False
@@ -900,6 +724,7 @@ def run_pipeline(
                 f"no verdict record at anchor instant {anchor_instant}"
             )
 
+    peak_global = max((row.peak_win for row in reducer_rows), default=0)
     stats = RunStats(
         verdict=verdict_value,
         iterations=total_height,
@@ -916,16 +741,3 @@ def run_pipeline(
         anchor_instant=anchor_instant,
         streams=streams,
     )
-
-
-def run_pipeline_from_lines(
-    lines: Sequence[Union[str, bytes]],
-    formula: Formula,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    **kwargs,
-) -> PipelineResult:
-    """Like run_pipeline, reading and block-parsing the trace text itself."""
-    probe_table = analyze(formula)
-    word, _records = input_read(lines, probe_table, block_size)
-    return run_pipeline(word, formula, **kwargs)

@@ -81,10 +81,9 @@ def parse_trace_lines(lines: Iterable[Union[str, bytes]]) -> TimedWord:
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        try:
-            timestamp = int(tokens[0])
-        except ValueError:
-            raise TraceError(f"timestamp {tokens[0]!r} is not an integer", number) from None
+        if not (tokens[0].isascii() and tokens[0].isdigit()):
+            raise TraceError(f"timestamp {tokens[0]!r} is not an integer", number)
+        timestamp = int(tokens[0])
         if timestamp <= 0:
             raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
         if previous is not None and timestamp <= previous:

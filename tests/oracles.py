@@ -4,7 +4,8 @@ Everything here is deliberately written from the semantic definitions with
 plain recursion and enumeration, sharing only the AST / word classes and
 the packed record layout with the package (representation, not behavior),
 plus the reducers' input order, ``shuffle_sort``.  Package evaluators,
-rewrites, reducers and the pipeline are judged against these.
+rewrites, reducers and the pipeline's marker seeding are judged against
+these.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from mtlcheck.formula import (
     Eventually,
     ExactStep,
     Formula,
+    FormulaTable,
     Globally,
     Interval,
     Not,
@@ -275,6 +277,46 @@ def naive_lazy_rational(w: TimedWord, t: Fraction, f: Formula, denominator: int,
         raise TypeError(f"unknown node {f!r}")
     memo[key] = value
     return value
+
+
+# ---------------------------------------------------------------------------
+# Mapper oracle: markers planted record by record
+# ---------------------------------------------------------------------------
+
+def map_step(
+    key_id: int,
+    record: int,
+    table: FormulaTable,
+    offsets: dict[int, frozenset[int]],
+) -> list[tuple[int, int]]:
+    """Map one record of one key to the records it contributes upstream.
+
+    Every record is routed to each superformula key.  A position record
+    additionally plants sanctioned markers at the parent's offset instants
+    and, under a decomposition-made exact-step parent, an (unsanctioned)
+    marker one step ahead.  The function is pure: output depends only on
+    the record and the job's static tables.  The runner seeds the same
+    sanctioned markers per key instead; the tests pin the two routes
+    together.
+    """
+    outs: list[tuple[int, int]] = []
+    tau = record >> TAU_SHIFT
+    is_real = ((record >> 3) & CHILD_MASK) != ACT_CHILD
+    flagged = bool(record & POSITION_FLAG)
+    for parent_id in sorted(table.parent_ids[key_id]):
+        outs.append((parent_id, record))
+        if is_real and flagged:
+            for off in sorted(offsets.get(parent_id, frozenset((0,)))):
+                if off:
+                    outs.append(
+                        (parent_id, pack_record(tau + off, ACT_CHILD, False, False, True))
+                    )
+            parent = table.node(parent_id)
+            if isinstance(parent, ExactStep) and parent.lazy_marker:
+                outs.append(
+                    (parent_id, pack_record(tau + parent.step, ACT_CHILD, False, False, False))
+                )
+    return outs
 
 
 # ---------------------------------------------------------------------------

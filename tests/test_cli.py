@@ -50,6 +50,13 @@ class TestDecompose:
         assert main(["decompose", "-f", "F[2,inf) p", "--k", "4"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_internal_error_exit_2(self, capsys):
+        assert main(["decompose", "-f", "F[0,3000] p", "--k", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal error: RecursionError")
+        assert captured.err.count("\n") == 1
+
     def test_budget_must_be_positive(self, capsys):
         assert main(["decompose", "-f", "p", "--k", "0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
@@ -140,14 +147,6 @@ class TestCheck:
         assert code == 0
         assert capsys.readouterr().out == "VERDICT: true\n"
 
-    def test_spill_budget_flag(self, capsys, trace_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MTLCHECK_TMPDIR", str(tmp_path / "spill"))
-        (tmp_path / "spill").mkdir()
-        code = main(["check", trace_file, "-f", "F[3,7] p",
-                     "--semantics", "lazy", "--k", "3", "--spill-budget", "2"])
-        assert code == 0
-        assert capsys.readouterr().out == "VERDICT: true\n"
-
     @pytest.mark.parametrize("argv_tail", [
         ["-f", "F[3,7] p", "--semantics", "lazy"],                  # no budget
         ["-f", "F[3,7] p", "--anchor", "zero"],                     # zero needs lazy
@@ -157,8 +156,6 @@ class TestCheck:
         ["-f", "F[3,7] p", "--workers", "0"],                       # bad workers
         ["-f", "F[2,inf) p", "--k", "4"],                           # unbounded budget
         ["-f", "G p", "--semantics", "lazy", "--oracle"],           # unbounded lazy
-        ["-f", "F[3,7] p", "--spill-budget", "-1"],                 # bad spill budget
-        ["-f", "F[3,7] p", "--spill-budget", "0"],                  # bad spill budget
     ])
     def test_config_errors_exit_2(self, capsys, trace_file, argv_tail):
         assert main(["check", trace_file] + argv_tail) == 2
@@ -181,14 +178,23 @@ class TestCheck:
         assert captured.err.startswith("error:") and "line 2" in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_missing_spill_directory_exit_2(self, capsys, trace_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("MTLCHECK_TMPDIR", str(tmp_path / "nonexistent"))
-        code = main(["check", trace_file, "-f", "F[3,7] p",
-                     "--semantics", "lazy", "--k", "3", "--spill-budget", "1"])
-        assert code == 2
+    @pytest.mark.parametrize("text", ["1_0 p\n", "1 p\n+20 q\n"])
+    def test_non_decimal_timestamp_exit_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path), "-f", "p"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.err.startswith("error:") and "is not an integer" in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_internal_error_exit_2(self, capsys, trace_file):
+        deep = "!" * 5000 + "p"
+        assert main(["check", trace_file, "-f", deep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: internal error: RecursionError")
+        assert captured.err.count("\n") == 1
 
     def test_missing_trace_file_exit_2(self, capsys, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "-f", "p"]) == 2

@@ -1,6 +1,5 @@
 """Pipeline operators and the multi-worker runner."""
 
-import os
 import random
 from collections import defaultdict
 from unittest import mock
@@ -17,12 +16,8 @@ from mtlcheck.engine import (
     _reducer_spec,
     atom_records,
     compute_offsets,
-    decode_spill_frames,
-    encode_spill_frame,
     input_read,
-    map_step,
     pack_record,
-    read_varint,
     record_child,
     record_position,
     record_sanctioned,
@@ -32,11 +27,20 @@ from mtlcheck.engine import (
     reduce_until,
     reduce_window,
     run_pipeline,
-    run_pipeline_from_lines,
     shuffle_sort,
-    write_varint,
 )
-from mtlcheck.formula import Atom, ExactStep, Interval, analyze, parse_formula, to_text
+from mtlcheck.formula import (
+    Act,
+    And,
+    Atom,
+    ExactStep,
+    Interval,
+    Not,
+    Or,
+    analyze,
+    parse_formula,
+    to_text,
+)
 from mtlcheck.semantics import ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
 from mtlcheck.trace import TraceError, word
 from mtlcheck.transforms import lazy_translation
@@ -44,6 +48,7 @@ from oracles import (
     check_dup,
     formulas,
     intervals,
+    map_step,
     naive_reduce_join,
     naive_reduce_until,
     naive_reduce_window,
@@ -76,33 +81,13 @@ class TestRecordPacking:
         assert record_position(r) == position
         assert record_sanctioned(r) == sanctioned
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(
-        st.integers(min_value=0, max_value=2**30), st.integers(min_value=0, max_value=2**18),
-        st.booleans(), st.booleans(), st.booleans()), max_size=30))
-    def test_spill_frame_round_trip(self, items):
-        buf = bytearray()
-        records = []
-        for tau, child, truth, position, sanctioned in items:
-            rec = pack_record(tau, child, truth, position, sanctioned)
-            records.append((child % 7, rec))
-            encode_spill_frame(buf, child % 7, rec)
-        assert list(decode_spill_frames(bytes(buf))) == records
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**60))
-    def test_varint_round_trip(self, value):
-        buf = bytearray()
-        write_varint(buf, value)
-        got, pos = read_varint(bytes(buf), 0)
-        assert got == value and pos == len(buf)
-
 
 class TestInputRead:
     def test_atom_records_per_position(self):
         table = analyze(parse_formula("F[3,7] p"))
-        w, per_atom = input_read(EXAMPLE_LINES, table)
-        assert w == EXAMPLE_WORD
+        w, first = input_read(EXAMPLE_LINES)
+        assert w == EXAMPLE_WORD and first == 1
+        per_atom = atom_records(w, table)
         aid = table.id_of[Atom("p")]
         recs = per_atom[aid]
         assert len(recs) == len(EXAMPLE_WORD)
@@ -115,33 +100,16 @@ class TestInputRead:
 
     def test_records_cover_every_atom_of_the_formula(self):
         table = analyze(parse_formula("p & q"))
-        _, per_atom = input_read(["1 p", "2 q"], table)
+        per_atom = atom_records(input_read(["1 p", "2 q"])[0], table)
         assert set(per_atom) == {table.id_of[Atom("p")], table.id_of[Atom("q")]}
 
-    @pytest.mark.parametrize("block_size", [1, 2, 3, 5, 1000])
-    def test_output_independent_of_block_size(self, block_size):
-        table = analyze(parse_formula("F[3,7] p"))
-        lines = ["# hdr", "1 p", "", "2 p", "4", "# mid", "6 p", "8 p", "9", "10"]
-        w, per_atom = input_read(lines, table, block_size)
-        w0, per_atom0 = input_read(lines, table, 1000)
-        assert w == w0
-        assert per_atom == per_atom0
-
-    def test_parse_error_reports_the_block(self):
-        table = analyze(parse_formula("p"))
-        lines = ["1 p", "2 p", "3 p", "bad line", "5 p"]
-        with pytest.raises(TraceError, match="block starting at line 4"):
-            input_read(lines, table, block_size=3)
-
     def test_cross_block_ordering_still_checked(self):
-        table = analyze(parse_formula("p"))
-        with pytest.raises(TraceError):
-            input_read(["5 p", "3 p"], table, block_size=1)
+        with pytest.raises(TraceError, match="line 2"):
+            input_read(["5 p", "3 p"])
 
     def test_rejects_empty_traces(self):
-        table = analyze(parse_formula("p"))
         with pytest.raises(TraceError):
-            input_read(["# nothing"], table, block_size=2)
+            input_read(["# nothing"])
 
 
 class TestOffsets:
@@ -555,6 +523,10 @@ class TestRunPipeline:
             run_pipeline(EXAMPLE_WORD, Atom("p"), workers=0)
         with pytest.raises(EngineError):
             run_pipeline(EXAMPLE_WORD, ExactStep(3, Atom("p")))
+        for nested in (Or(parse_formula("F[0,2] q"), ExactStep(2, Atom("p"))),
+                       And(Atom("p"), Not(Act()))):
+            with pytest.raises(EngineError, match="marker nodes"):
+                run_pipeline(EXAMPLE_WORD, nested)
         with pytest.raises(EngineError):
             run_pipeline(EXAMPLE_WORD, Atom("p"), semantics="signal")
 
@@ -586,13 +558,6 @@ class TestRunPipeline:
             heights.append(res.table.height_of[res.table.id_of[node]])
         assert heights == sorted(heights)
 
-    def test_from_lines_matches_parsed_word(self):
-        f = parse_formula("F[3,7] p")
-        a = run_pipeline_from_lines(EXAMPLE_LINES, f, block_size=2, collect_streams=True)
-        b = run_pipeline(EXAMPLE_WORD, f, collect_streams=True)
-        assert a.verdict == b.verdict
-        assert a.streams == b.streams
-
 
 class TestDeterminismAndSpill:
     def test_worker_counts_do_not_change_results(self):
@@ -609,29 +574,6 @@ class TestDeterminismAndSpill:
                 assert other.verdict == base.verdict
                 assert other.streams == base.streams
                 assert other.stats.peak_win_records == base.stats.peak_win_records
-
-    def test_spill_round_trip_preserves_results(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MTLCHECK_TMPDIR", str(tmp_path))
-        f = parse_formula("F[3,7] p | G[0,2] q")
-        w = word((("p", "q"), 1), (("q",), 2), ((), 4), (("p",), 6), (("p",), 8))
-        base = run_pipeline(w, f, semantics=LAZY, window_budget=3, collect_streams=True)
-        spilled = run_pipeline(w, f, semantics=LAZY, window_budget=3,
-                               spill_budget=2, collect_streams=True)
-        assert spilled.verdict == base.verdict
-        assert spilled.streams == base.streams
-        assert list(tmp_path.iterdir()) == []  # segments cleaned up
-
-    def test_spill_budget_with_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MTLCHECK_TMPDIR", str(tmp_path))
-        rng = random.Random(11)
-        for _ in range(10):
-            f = random_formula(rng, max_depth=3, max_bound=6)
-            w = random_word(rng, max_len=7, max_timestamp=18)
-            base = run_pipeline(w, f, collect_streams=True)
-            spilled = run_pipeline(w, f, spill_budget=1, workers=3, collect_streams=True)
-            assert spilled.verdict == base.verdict
-            assert spilled.streams == base.streams
-        assert list(tmp_path.iterdir()) == []
 
 
 def _mapper_route(w, formula, budget):

@@ -64,8 +64,11 @@ class TestParsing:
             parse_trace_lines(["3 p", "3 q"])
         with pytest.raises(TraceError, match="line 2"):
             parse_trace_lines(["1 p", "0 q"])
-        with pytest.raises(TraceError, match="line 1"):
-            parse_trace_lines(["x p"])
+        for bad in ("x p", "1_0 p", "+20 q", "\u0663 p"):
+            with pytest.raises(TraceError, match="line 1: timestamp .* is not an integer"):
+                parse_trace_lines([bad])
+        with pytest.raises(TraceError, match="line 1: timestamps must be strictly positive"):
+            parse_trace_lines(["0 p"])
         with pytest.raises(TraceError, match="line 2: byte 0xff at column 3"):
             parse_trace_lines([b"1 p", b"2 \xff"])
 
