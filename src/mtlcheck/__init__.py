@@ -9,8 +9,8 @@ increasing, positive timestamps.  It offers:
 - a translation from the point-based to the lazy reading and a window
   decomposition that rewrites formulas so no temporal window is wider
   than a chosen budget (:mod:`.transforms`);
-- a local multi-worker MapReduce-style checking pipeline whose peak
-  window footprint is controlled by that budget (:mod:`.engine`);
+- a MapReduce-style checking pipeline whose peak window footprint is
+  controlled by that budget (:mod:`.engine`);
 - trace parsing and pseudo-random trace generation (:mod:`.trace`);
 - a command-line interface (``mtlcheck``).
 """

@@ -54,13 +54,24 @@ BENCH_CSV_COLUMNS = (
     "trace_n",
     "wall_ms",
     "peak_win_records",
-    "peak_win_bytes_est",
 )
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line like any other input error, as one
+    ``error:`` line with exit status 2, instead of argparse's usage block."""
+
+    def error(self, message: str):
+        raise _UsageError(message)
 
 
 def _read_trace_bytes(path: str) -> bytes:
@@ -87,8 +98,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     budget = args.k
     if budget is not None and budget < 1:
         return _fail("--k must be a positive integer")
-    if args.workers < 1:
-        return _fail("--workers must be a positive integer")
     if anchor == ANCHOR_ZERO and semantics != LAZY:
         return _fail("--anchor zero requires --semantics lazy")
     if semantics == LAZY and not args.oracle and budget is None:
@@ -123,7 +132,6 @@ def cmd_check(args: argparse.Namespace) -> int:
                 semantics=semantics,
                 window_budget=budget,
                 anchor=anchor,
-                workers=args.workers,
             )
             verdict_value = result.verdict
             stats = result.stats
@@ -140,8 +148,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.table == "-":
             sys.stdout.write(text)
         else:
-            with open(args.table, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.table, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                return _fail(str(exc))
 
     if args.stats and stats is not None:
         print(json.dumps(stats.to_json_dict(), indent=2))
@@ -209,8 +220,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     budgets = args.k
     if any(n < 0 for n in windows) or any(k < 1 for k in budgets):
         return _fail("window sizes must be non-negative and budgets positive")
-    if args.workers < 1:
-        return _fail("--workers must be a positive integer")
 
     templates = []
     if args.template in ("f", "both"):
@@ -218,7 +227,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.template in ("g", "both"):
         templates.append(("G[0,{N}] q", dict(force_p=False, suppress_q=True)))
 
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    try:
+        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        return _fail(str(exc))
     try:
         out.write(",".join(BENCH_CSV_COLUMNS) + "\n")
         out.flush()
@@ -228,13 +240,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 formula = parse_formula(template_text.format(N=window))
                 for budget in [None] + list(budgets):
                     start = time.perf_counter()
-                    result = run_pipeline(
-                        word,
-                        formula,
-                        semantics=POINT,
-                        window_budget=budget,
-                        workers=args.workers,
-                    )
+                    result = run_pipeline(word, formula, semantics=POINT, window_budget=budget)
                     wall_ms = (time.perf_counter() - start) * 1000.0
                     row = (
                         to_text(result.table.root),
@@ -243,7 +249,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                         str(len(word)),
                         f"{wall_ms:.1f}",
                         str(result.stats.peak_win_records),
-                        str(result.stats.peak_win_bytes_est),
                     )
                     out.write(",".join(_csv_cell(c) for c in row) + "\n")
                     out.flush()
@@ -269,7 +274,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtlcheck",
         description="Check metric temporal logic formulas over timed traces.",
     )
@@ -294,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--oracle", action="store_true",
         help="use the reference evaluator instead of the pipeline",
     )
-    p_check.add_argument("--workers", type=int, default=1, help="reducer thread count")
     p_check.add_argument(
         "--stats", action="store_true",
         help="print the pipeline statistics envelope as JSON",
@@ -346,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--template", choices=("f", "g", "both"), default="both",
         help="which formula templates to run (default both)",
     )
-    p_bench.add_argument("--workers", type=int, default=1, help="reducer thread count")
     p_bench.add_argument("-o", "--output", default="-", help="CSV file (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
 
@@ -354,8 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        return _fail(str(exc))
     try:
         return args.func(args)
     except Exception as exc:  # a defect, not a verdict: exit 1 would read as false

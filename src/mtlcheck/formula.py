@@ -23,7 +23,7 @@ rejected by the parser; it only ever appears in machine-built formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 class FormulaError(ValueError):
@@ -73,14 +73,6 @@ class Interval:
         if t > self.upper or (t == self.upper and not self.upper_closed):
             return False
         return True
-
-    def integer_members(self) -> Iterator[int]:
-        """All integers inside the interval (requires a bounded interval)."""
-        if self.upper is None:
-            raise FormulaError("cannot enumerate an unbounded interval")
-        lo = self.lower if self.lower_closed else self.lower + 1
-        hi = self.upper if self.upper_closed else self.upper - 1
-        return iter(range(lo, hi + 1))
 
     def __str__(self) -> str:
         if self.bounded and self.lower == self.upper:
@@ -229,13 +221,14 @@ class ExactStep(Formula):
     """F at exactly ``step`` time units ahead, as produced by decomposition.
 
     Semantically identical to Eventually([step,step], child); kept as its
-    own node kind because the pipeline's mapper treats decomposition-made
-    exact steps specially (lazy_marker drives the virtual-instant hook).
+    own node kind because the pipeline treats it differently: its window
+    reducer admits witnesses that are not positions (the operand's values
+    at virtual instants), and ``compute_offsets`` pushes the instants it
+    is needed at forward by ``step`` to its operand.
     """
 
     step: int
     child: Formula
-    lazy_marker: bool = True
 
     def __post_init__(self) -> None:
         if self.step < 1:
@@ -576,22 +569,6 @@ class FormulaTable:
     def size(self) -> int:
         """Number of distinct subformulas, the root included."""
         return len(self.nodes)
-
-    @property
-    def atoms(self) -> frozenset[str]:
-        return frozenset(n.name for n in self.nodes if isinstance(n, Atom))
-
-    def proper_subformulas(self) -> frozenset[Formula]:
-        return frozenset(n for n in self.nodes if n != self.root)
-
-    def direct_subformulas(self, f: Formula) -> frozenset[Formula]:
-        return frozenset(self.node(c) for c in self.child_ids[self.id_of[f]])
-
-    def superformulas(self, f: Formula) -> frozenset[Formula]:
-        return frozenset(self.node(p) for p in self.parent_ids[self.id_of[f]])
-
-    def ids_at_height(self, h: int) -> list[int]:
-        return [i for i in range(1, len(self.nodes) + 1) if self.height_of[i] == h]
 
 
 def analyze(root: Formula) -> FormulaTable:

@@ -280,6 +280,22 @@ def naive_lazy_rational(w: TimedWord, t: Fraction, f: Formula, denominator: int,
 
 
 # ---------------------------------------------------------------------------
+# Record fields the pipeline reads with inline masks
+# ---------------------------------------------------------------------------
+
+def record_child(r: int) -> int:
+    return (r >> 3) & CHILD_MASK
+
+
+def record_position(r: int) -> bool:
+    return bool(r & POSITION_FLAG)
+
+
+def record_sanctioned(r: int) -> bool:
+    return bool(r & SANCTIONED_FLAG)
+
+
+# ---------------------------------------------------------------------------
 # Mapper oracle: markers planted record by record
 # ---------------------------------------------------------------------------
 
@@ -312,7 +328,7 @@ def map_step(
                         (parent_id, pack_record(tau + off, ACT_CHILD, False, False, True))
                     )
             parent = table.node(parent_id)
-            if isinstance(parent, ExactStep) and parent.lazy_marker:
+            if isinstance(parent, ExactStep):
                 outs.append(
                     (parent_id, pack_record(tau + parent.step, ACT_CHILD, False, False, False))
                 )

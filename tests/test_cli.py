@@ -1,13 +1,20 @@
 """Command-line interface: goldens for every subcommand."""
 
+import contextlib
 import csv
 import io
 import json
+import random
 import types
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlcheck.cli import BENCH_CSV_COLUMNS, main
+from mtlcheck.formula import to_text
+from oracles import random_formula, words
 
 EXAMPLE_TRACE = "1 p\n2 p\n4\n6 p\n8 p\n9\n10\n"
 
@@ -120,7 +127,7 @@ class TestCheck:
         assert payload["verdict"] is True
         assert payload["iterations"] == 4
         assert payload["peak_win_records"] <= 5
-        assert payload["peak_win_bytes_est"] == payload["peak_win_records"] * 16
+        assert set(payload) == {"verdict", "iterations", "peak_win_records", "reducers"}
         assert [set(row) for row in payload["reducers"]] == [
             {"reducer_key", "peak_win", "records_in", "records_out", "iteration_ms"}
         ] * len(payload["reducers"])
@@ -141,11 +148,13 @@ class TestCheck:
         assert code == 0
         assert table_path.read_text(encoding="utf-8").splitlines()[0].startswith("formula\t")
 
-    def test_workers_flag(self, capsys, trace_file):
-        code = main(["check", trace_file, "-f", "F[3,7] p",
-                     "--semantics", "lazy", "--k", "3", "--workers", "4"])
-        assert code == 0
-        assert capsys.readouterr().out == "VERDICT: true\n"
+    def test_unwritable_table_exit_2(self, capsys, tmp_path, trace_file):
+        table_path = tmp_path / "missing" / "table.tsv"
+        assert main(["check", trace_file, "-f", "p", "--table", str(table_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "internal error" not in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("argv_tail", [
         ["-f", "F[3,7] p", "--semantics", "lazy"],                  # no budget
@@ -153,14 +162,16 @@ class TestCheck:
         ["-f", "F[3,7] p", "--oracle", "--stats"],                  # stats need pipeline
         ["-f", "F[5,3] p"],                                         # bad interval
         ["-f", "F[3,7] p", "--k", "0"],                             # bad budget
-        ["-f", "F[3,7] p", "--workers", "0"],                       # bad workers
         ["-f", "F[2,inf) p", "--k", "4"],                           # unbounded budget
         ["-f", "G p", "--semantics", "lazy", "--oracle"],           # unbounded lazy
+        ["-f", "->"],                                               # reads as an option
+        ["-f", "p", "--k", "x"],                                    # not an integer
     ])
     def test_config_errors_exit_2(self, capsys, trace_file, argv_tail):
         assert main(["check", trace_file] + argv_tail) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_bad_trace_exit_2(self, capsys, tmp_path):
@@ -232,6 +243,7 @@ class TestBench:
     def _rows(self, text):
         lines = text.strip().splitlines()
         assert lines[0] == ",".join(BENCH_CSV_COLUMNS)
+        assert lines[0] == "formula,N,K,trace_n,wall_ms,peak_win_records"
         return list(csv.reader(io.StringIO("\n".join(lines[1:]))))
 
     def test_csv_shape_and_peaks(self, tmp_path):
@@ -246,7 +258,6 @@ class TestBench:
         assert off6[0] == "F[0,6] p"
         assert off6[3] == "40"
         assert int(off6[5]) == 7  # undecomposed peak
-        assert int(off6[6]) == 7 * 16
         k6 = by_key[("6", "4")]
         assert int(k6[5]) <= 5  # budgeted peak
         off10 = by_key[("10", "off")]
@@ -283,4 +294,69 @@ class TestBench:
     def test_bad_arguments_exit_2(self, capsys):
         assert main(["bench", "--trace-n", "0"]) == 2
         assert main(["bench", "--trace-n", "10", "--k", "0"]) == 2
-        assert main(["bench", "--trace-n", "10", "--workers", "0"]) == 2
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "bench.csv"
+        assert main(["bench", "--trace-n", "10", "--n", "3", "--k", "2", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "internal error" not in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def _trace_text(w):
+    return "".join(f"{tau} {' '.join(sorted(atoms))}\n" for atoms, tau in w.elements)
+
+
+# Trace bytes: valid words, valid words with one line spoiled, and junk.
+TRACE_BYTES = st.one_of(
+    words(max_len=6, max_timestamp=20).map(lambda w: _trace_text(w).encode()),
+    st.tuples(
+        words(max_len=6, max_timestamp=20),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(["0 p", "x p", "1_0", "+3 q", "3 p\xff", "-2", "99999999999999999999 p"]),
+    ).map(lambda t: "".join(
+        line + "\n" for line in _trace_text(t[0]).splitlines()[: t[1]] + [t[2]]
+    ).encode("latin-1")),  # "\xff" stays one byte, which is not UTF-8
+    st.binary(max_size=30),
+)
+
+FORMULA_TEXT = st.one_of(
+    st.integers(min_value=0, max_value=2**32).map(
+        lambda seed: to_text(random_formula(random.Random(seed), max_depth=3, max_bound=8,
+                                            allow_unbounded=True))
+    ),
+    st.text(alphabet="pqFGUX!&|()[],=01234567 ->inf", max_size=16),
+)
+
+
+class TestExitStatus:
+    """Every check ends in exactly one of two ways: a VERDICT line with
+    status 0 or 1, or one error line with status 2."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(formula=FORMULA_TEXT, trace=TRACE_BYTES, data=st.data())
+    def test_check_ends_in_a_verdict_or_one_error_line(self, formula, trace, data):
+        argv = ["check", "-", "-f", formula]
+        k = data.draw(st.one_of(st.none(), st.integers(min_value=-1, max_value=5)))
+        if k is not None:
+            argv += ["--k", str(k)]
+        for flag, choices in (("--semantics", ["point", "lazy"]), ("--anchor", ["first", "zero"])):
+            choice = data.draw(st.sampled_from([None] + choices))
+            if choice is not None:
+                argv += [flag, choice]
+        if data.draw(st.booleans()):
+            argv.append("--oracle")
+        out, err = io.StringIO(), io.StringIO()
+        stdin = types.SimpleNamespace(buffer=io.BytesIO(trace))
+        with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            status = main(argv)
+        out, err = out.getvalue(), err.getvalue()
+        if status in (0, 1):
+            assert out.splitlines()[-1:] == ["VERDICT: true" if status == 0 else "VERDICT: false"]
+            assert err == ""
+        else:
+            assert status == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")

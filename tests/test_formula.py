@@ -98,14 +98,15 @@ class TestTable:
         table = analyze(g)
         assert table.size == 7
         assert table.height == 4
-        assert table.atoms == frozenset({"a", "b", "c"})
-        assert set(table.direct_subformulas(g)) == {
+        assert {n.name for n in table.nodes if isinstance(n, Atom)} == {"a", "b", "c"}
+        assert {table.node(c) for c in table.child_ids[table.root_id]} == {
             parse_formula("F[2,4](a & b)"),
             parse_formula("!c"),
         }
-        assert set(table.superformulas(Atom("a"))) == {And(Atom("a"), Atom("b"))}
-        assert set(table.superformulas(Atom("b"))) == {And(Atom("a"), Atom("b"))}
-        assert len(table.proper_subformulas()) == table.size - 1
+        conj = frozenset({table.id_of[And(Atom("a"), Atom("b"))]})
+        assert table.parent_ids[table.id_of[Atom("a")]] == conj
+        assert table.parent_ids[table.id_of[Atom("b")]] == conj
+        assert table.root_id == table.size  # the root is listed once, last
 
     def test_structural_sharing(self):
         assert analyze(And(Atom("p"), Atom("p"))).size == 2
@@ -122,10 +123,7 @@ class TestTable:
                 assert table.height_of[node_id] == 1 + max(table.height_of[c] for c in kids)
             else:
                 assert table.height_of[node_id] == 1
-        for h in range(1, table.height + 1):
-            ids = table.ids_at_height(h)
-            assert ids == sorted(ids)
-            assert all(table.height_of[i] == h for i in ids)
+            assert all(c < node_id for c in kids)  # children are numbered first
 
     def test_parent_ids_invert_child_ids(self):
         table = analyze(parse_formula("(p U[0,9] q) & F[2,5] p"))

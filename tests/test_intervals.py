@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtlcheck.engine import _closed_bounds
 from mtlcheck.formula import (
     FULL,
     FormulaError,
@@ -44,9 +45,11 @@ class TestConstruction:
         assert FULL.contains(0) and FULL.contains(10**9)
 
     def test_integer_members(self):
-        assert list(Interval(1, 4, False, True).integer_members()) == [2, 3, 4]
-        assert list(singleton(7).integer_members()) == [7]
-        assert list(Interval(2, 3, False, False).integer_members()) == []
+        # the reducers read an interval as the closed bounds of its integers
+        assert _closed_bounds(Interval(1, 4, False, True)) == (2, 4)
+        assert _closed_bounds(singleton(7)) == (7, 7)
+        assert _closed_bounds(Interval(2, 3, False, False)) == (3, 2)  # no integer
+        assert _closed_bounds(Interval(2, None, False, False)) == (3, None)
 
     def test_text_forms(self):
         assert str(Interval(3, 7)) == "[3,7]"
