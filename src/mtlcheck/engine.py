@@ -1,12 +1,14 @@
 """MapReduce-style pipeline for trace checking.
 
 The pipeline evaluates one key per distinct subformula.  A read step turns
-trace elements into atom records; each later iteration reduces all keys of
-the next height, so a run takes as many iterations as the formula is tall.
-Every key's output is routed to the keys of its superformulas, and each
-key also receives sanctioned virtual-instant markers; reducers process one
-key's records in descending timestamp order with a sliding window whose
-retention span is the key's interval widened to zero.
+trace elements into atom records, one per element and atom key, read off
+the word's timestamps and the atom's flag column; each later iteration
+reduces all keys of the next height, so a run takes as many iterations as
+the formula is tall.  Every key's output is routed to the keys of its
+superformulas, and each key also receives sanctioned virtual-instant
+markers; reducers process one key's records in descending timestamp order
+with a sliding window whose retention span is the key's interval widened
+to zero.
 
 Records are packed into single integers::
 
@@ -43,7 +45,10 @@ time, in order of height.  A key's sanctioned markers are planted from
 the precomputed offset sets only when the key is reduced, and each key's
 inbox is dropped as soon as it has been reduced, so the records alive at
 any time are the current key's inputs plus the outputs already routed to
-taller keys.  Planting markers per key instead of record by record
+taller keys.  Seeding tests instants against the positions as a range when
+they are contiguous and builds a set of them only when they are not; a
+point-mode run plants no markers and builds neither.  ``--stats`` reports
+the markers planted for each key.  Planting markers per key instead of record by record
 through a mapper changes no output: the mapper's sanctioned instants are
 exactly the position set shifted by the key's offsets, and the markers it
 would add beyond those (repeats, markers at position instants and
@@ -120,11 +125,13 @@ def atom_records(word: TimedWord, table: FormulaTable) -> dict[int, list[int]]:
     for node in table.nodes:
         if isinstance(node, Atom):
             aid = table.id_of[node]
-            held = pack_record(0, aid, True, True, False)
-            absent = pack_record(0, aid, False, True, False)
+            by_flag = (  # indexed by the atom's flag byte at an element
+                pack_record(0, aid, False, True, False),
+                pack_record(0, aid, True, True, False),
+            )
             per_atom[aid] = [
-                (tau << TAU_SHIFT) | (held if node.name in atoms else absent)
-                for atoms, tau in word.elements
+                (tau << TAU_SHIFT) | by_flag[flag]
+                for tau, flag in zip(word.timestamps, word.column(node.name))
             ]
     return per_atom
 
@@ -134,7 +141,7 @@ def input_read(lines: Iterable[Union[str, bytes]]) -> tuple[TimedWord, int]:
     timestamp, the instant a verdict is read at by default.  A parse
     failure raises ``TraceError`` naming the failing line."""
     word = parse_trace_lines(lines)
-    return word, word.elements[0][1]
+    return word, word.timestamps[0]
 
 
 def compute_offsets(table: FormulaTable) -> dict[int, frozenset[int]]:
@@ -390,6 +397,7 @@ class ReducerStats:
     reducer_key: str
     peak_win: int
     records_in: int
+    markers: int
     records_out: int
     iteration_ms: float
 
@@ -398,6 +406,7 @@ class ReducerStats:
             "reducer_key": self.reducer_key,
             "peak_win": self.peak_win,
             "records_in": self.records_in,
+            "markers": self.markers,
             "records_out": self.records_out,
             "iteration_ms": self.iteration_ms,
         }
@@ -407,6 +416,7 @@ class ReducerStats:
 class RunStats:
     verdict: bool
     iterations: int
+    elements: int
     peak_win_records: int
     reducers: list[ReducerStats] = field(default_factory=list)
 
@@ -414,6 +424,7 @@ class RunStats:
         return {
             "verdict": self.verdict,
             "iterations": self.iterations,
+            "elements": self.elements,
             "peak_win_records": self.peak_win_records,
             "reducers": [row.to_json_dict() for row in self.reducers],
         }
@@ -475,17 +486,27 @@ def _reduce_one(node_id: int, table: FormulaTable, spec, records: list[int]):
     return outputs, peak, records_in, elapsed_ms
 
 
+def _position_instants(positions: Sequence[int]) -> Union[range, set[int]]:
+    """The position instants for membership tests: a range when they are
+    contiguous, which costs no per-position entry, else a set."""
+    first, last = positions[0], positions[-1]
+    if len(positions) == last - first + 1:
+        return range(first, last + 1)
+    return set(positions)
+
+
 def _seed_instants(
     positions: Sequence[int],
-    position_set: set[int],
+    position_set: Union[range, set[int]],
     offs: Iterable[int],
     extra: Iterable[int],
 ) -> list[int]:
     """Instants to plant sanctioned markers at: every position shifted by
     each nonzero offset (minus instants that already are positions), plus
-    any extra anchor instants."""
+    any extra anchor instants.  ``position_set`` is what
+    ``_position_instants`` returns for the positions."""
     first, last = positions[0], positions[-1]
-    contiguous = len(positions) == last - first + 1
+    contiguous = isinstance(position_set, range)
     inst: set[int] = set()
     for off in offs:
         if not off:
@@ -550,7 +571,7 @@ def run_pipeline(
         else {i: frozenset((0,)) for i in range(1, table.size + 1)}
     )
     positions = word.timestamps
-    position_set = set(positions)
+    position_set = _position_instants(positions) if lazy_mode else None
     anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
     inboxes: dict[int, list[int]] = {}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
@@ -564,16 +585,16 @@ def run_pipeline(
         if streams is not None:
             streams[key_id] = records
 
-    def take(key_id: int) -> list[int]:
-        """A key's inbox plus, in lazy mode, its sanctioned markers."""
+    def take(key_id: int) -> tuple[list[int], int]:
+        """A key's inbox plus, in lazy mode, its sanctioned markers, and
+        the number of markers planted."""
         records = inboxes.pop(key_id, [])
-        if lazy_mode:
-            extra = offsets[key_id] if anchor == ANCHOR_ZERO else ()
-            records += [
-                (t << TAU_SHIFT) | SANCTIONED_FLAG
-                for t in _seed_instants(positions, position_set, offsets[key_id], extra)
-            ]
-        return records
+        if not lazy_mode:
+            return records, 0
+        extra = offsets[key_id] if anchor == ANCHOR_ZERO else ()
+        instants = _seed_instants(positions, position_set, offsets[key_id], extra)
+        records += [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
+        return records, len(instants)
 
     # read step: atom records, routed to each atom's superformula keys
     per_atom = atom_records(word, table)
@@ -590,13 +611,17 @@ def run_pipeline(
     root_outputs: Optional[list[int]] = None
     total_height = table.height
 
-    def finish(kid: int, outputs: list[int], peak: int, records_in: int, elapsed_ms: float) -> None:
+    def reduce_key(kid: int) -> None:
         nonlocal root_outputs
+        records, markers = take(kid)
+        outputs, peak, records_in, elapsed_ms = _reduce_one(kid, table, specs[kid], records)
+        del records  # the consumed inbox, dropped before the outputs are routed
         reducer_rows.append(
             ReducerStats(
                 reducer_key=to_text(table.node(kid)),
                 peak_win=peak,
                 records_in=records_in,
+                markers=markers,
                 records_out=len(outputs),
                 iteration_ms=elapsed_ms,
             )
@@ -608,16 +633,15 @@ def run_pipeline(
     # one key at a time, shorter keys first: every parent is strictly
     # taller than its children, so each inbox is complete when taken
     for kid in sorted(specs, key=lambda i: (table.height_of[i], i)):
-        finish(kid, *_reduce_one(kid, table, specs[kid], take(kid)))
+        reduce_key(kid)
 
     if total_height == 1:
-        verdict_value = False
         root_atom = table.root
         assert isinstance(root_atom, Atom)
-        for atoms, tau in word.elements:
-            if tau == anchor_instant:
-                verdict_value = root_atom.name in atoms
-                break
+        anchor_index = word.index_of(anchor_instant)
+        verdict_value = (
+            anchor_index is not None and word.column(root_atom.name)[anchor_index] == 1
+        )
     else:
         if root_outputs is None:
             raise EngineError("pipeline produced no stream for the root key")
@@ -635,6 +659,7 @@ def run_pipeline(
     stats = RunStats(
         verdict=verdict_value,
         iterations=total_height,
+        elements=len(word),
         peak_win_records=peak_global,
         reducers=reducer_rows,
     )

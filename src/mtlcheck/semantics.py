@@ -13,11 +13,17 @@ Two interpretations are provided:
 ``eval_table`` materializes every subformula's value over the full key
 range (positions for point mode, ``[0, horizon]`` for lazy mode) and can be
 exported as TSV.  The pipeline engine is validated against these tables.
+
+Both evaluators read an atom through the word's flag column for it.  The
+lazy evaluator finds the element at an instant, and until's positions
+strictly between an instant and its witness, by bisection on the word's
+timestamps, so a full lazy table costs no scan of the trace per instant.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, TextIO, Union
 
@@ -68,7 +74,6 @@ class _PointEvaluator:
 
     def __init__(self, word: TimedWord) -> None:
         self.word = word
-        self.timestamps = word.timestamps
         self.memo: dict[tuple[int, int], bool] = {}
         self._keep: dict[int, Formula] = {}
 
@@ -82,9 +87,9 @@ class _PointEvaluator:
         if cached is not None:
             return cached
         self._keep[id(f)] = f
-        ts = self.timestamps
+        ts = self.word.timestamps
         if isinstance(f, Atom):
-            value = f.name in self.word.atoms_at(i)
+            value = self.word.column(f.name)[i] == 1
         elif isinstance(f, Act):
             value = True
         elif isinstance(f, Not):
@@ -133,8 +138,6 @@ class _LazyEvaluator:
 
     def __init__(self, word: TimedWord) -> None:
         self.word = word
-        self.position_instants = frozenset(word.timestamps)
-        self.atoms_by_instant = {ts: atoms for atoms, ts in word.elements}
         self.memo: dict[tuple[int, int], bool] = {}
         self._keep: dict[int, Formula] = {}
 
@@ -145,9 +148,10 @@ class _LazyEvaluator:
             return cached
         self._keep[id(f)] = f
         if isinstance(f, Atom):
-            value = f.name in self.atoms_by_instant.get(t, frozenset())
+            i = self.word.index_of(t)
+            value = i is not None and self.word.column(f.name)[i] == 1
         elif isinstance(f, Act):
-            value = t in self.position_instants
+            value = self.word.index_of(t) is not None
         elif isinstance(f, Not):
             value = not self.eval(f.child, t)
         elif isinstance(f, And):
@@ -156,13 +160,15 @@ class _LazyEvaluator:
             value = self.eval(f.left, t) or self.eval(f.right, t)
         elif isinstance(f, Until):
             value = False
+            ts = self.word.timestamps
+            after_t = bisect_right(ts, t)
             for tp in _witness_instants(t, f.interval):
                 if not self.eval(f.right, tp):
                     continue
+                # the positions strictly between t and the witness
                 if all(
-                    self.eval(f.left, ts)
-                    for ts in self.word.timestamps
-                    if t < ts < tp
+                    self.eval(f.left, ts[k])
+                    for k in range(after_t, bisect_left(ts, tp))
                 ):
                     value = True
                     break

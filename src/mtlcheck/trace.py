@@ -2,16 +2,24 @@
 
 Trace files are line oriented text: each non-comment line is
 ``<timestamp> <atom> <atom> ...`` with ASCII decimal timestamps, any
-whitespace run as separator, ``\\n`` line endings, and ``#`` starting a
-comment line.  Timestamps must be strictly increasing and strictly
-positive.
+whitespace run as separator, and ``#`` starting a comment line.  The
+command line splits trace bytes with ``bytes.splitlines``, so ``\\n``,
+``\\r\\n`` and a lone ``\\r`` end a line, while ``\\x0c``, ``\\x85`` and
+``\\u2028`` stay inside one and separate its tokens.  Timestamps must be
+strictly increasing and strictly positive.
+
+A parsed word is stored by column: one tuple of timestamps and, per atom,
+one byte per element flagging where the atom holds.  A 10,500-element
+trace over 21 atoms takes about 0.6 MiB this way, where one frozenset of
+atom strings per element took about 10.5 MiB.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Iterable, Mapping, Optional, Union
 
 
 class TraceError(ValueError):
@@ -25,40 +33,87 @@ class TraceError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class TimedWord:
-    """A finite sequence of (atom set, integer timestamp) elements."""
+    """A finite sequence of elements, each a set of atoms and an integer
+    timestamp, stored by column.
 
-    elements: tuple[tuple[frozenset[str], int], ...]
+    ``timestamps`` holds every element's timestamp, strictly increasing and
+    positive.  Each atom has one flag column: byte ``i`` is 1 when the atom
+    holds at element ``i`` and 0 when it does not.  ``column`` is the one
+    reader of the flags, so no other module depends on how they are stored.
+    A word is built from its timestamps and a mapping from atoms to their
+    flag columns; ``word`` builds one from (atoms, timestamp) pairs and
+    ``parse_trace_lines`` from trace text.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.elements:
+    __slots__ = ("timestamps", "_columns", "_absent")
+
+    def __init__(self, timestamps: Iterable[int], columns: Mapping[str, bytearray]) -> None:
+        self.timestamps: tuple[int, ...] = tuple(timestamps)
+        if not self.timestamps:
             raise TraceError("a timed word needs at least one element")
         previous = 0
-        for atoms, timestamp in self.elements:
+        for timestamp in self.timestamps:
             if timestamp <= previous:
                 raise TraceError(
                     f"timestamps must be strictly increasing and positive, got {timestamp} after {previous}"
                 )
             previous = timestamp
+        n = len(self.timestamps)
+        for atom, flags in columns.items():
+            if len(flags) != n:
+                raise TraceError(f"atom {atom!r} has {len(flags)} flags for {n} elements")
+        self._columns = dict(columns)
+        self._absent = bytes(n)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.timestamps)
 
-    def atoms_at(self, i: int) -> frozenset[str]:
-        return self.elements[i][0]
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimedWord):
+            return NotImplemented
+        return self.timestamps == other.timestamps and all(
+            self.column(atom) == other.column(atom)
+            for atom in self._columns.keys() | other._columns.keys()
+        )
 
-    def timestamp_at(self, i: int) -> int:
-        return self.elements[i][1]
+    def __hash__(self) -> int:
+        return hash(self.timestamps)
+
+    def __repr__(self) -> str:
+        return f"TimedWord({len(self)} elements, atoms {sorted(self._columns)})"
 
     @property
-    def timestamps(self) -> tuple[int, ...]:
-        return tuple(t for _, t in self.elements)
+    def atoms(self) -> frozenset[str]:
+        """The atoms the word has a flag column for."""
+        return frozenset(self._columns)
+
+    def column(self, atom: str) -> bytes:
+        """The atom's flags, one byte per element (all 0 for an atom the
+        word has no column for).  Callers read it and never change it."""
+        return self._columns.get(atom, self._absent)
+
+    def timestamp_at(self, i: int) -> int:
+        return self.timestamps[i]
+
+    def index_of(self, instant: int) -> Optional[int]:
+        """The element carrying the instant as its timestamp, or None."""
+        i = bisect_left(self.timestamps, instant)
+        if i < len(self.timestamps) and self.timestamps[i] == instant:
+            return i
+        return None
 
 
 def word(*elements: tuple[Iterable[str], int]) -> TimedWord:
     """Convenience constructor: word(({'p'}, 1), ({'q'}, 7))."""
-    return TimedWord(tuple((frozenset(atoms), t) for atoms, t in elements))
+    columns: dict[str, bytearray] = {}
+    for i, (atoms, _) in enumerate(elements):
+        for atom in atoms:
+            flags = columns.get(atom)
+            if flags is None:
+                flags = columns[atom] = bytearray(len(elements))
+            flags[i] = 1
+    return TimedWord((t for _, t in elements), columns)
 
 
 def _decode(line: Union[str, bytes], number: int) -> str:
@@ -73,28 +128,47 @@ def _decode(line: Union[str, bytes], number: int) -> str:
 
 
 def parse_trace_lines(lines: Iterable[Union[str, bytes]]) -> TimedWord:
-    """Parse trace lines into a TimedWord; errors carry 1-based line numbers."""
-    elements: list[tuple[frozenset[str], int]] = []
-    previous: int | None = None
+    """Parse trace lines into a TimedWord; errors carry 1-based line numbers.
+
+    The columns are built in the same pass: each line appends a timestamp
+    and sets its atoms' flags, so nothing of a line but those outlives it.
+    Flag columns grow by doubling a shared capacity and are cut to the
+    element count at the end.
+    """
+    timestamps: list[int] = []
+    columns: dict[str, bytearray] = {}
+    capacity = 0
     for number, raw in enumerate(lines, start=1):
-        line = _decode(raw, number).strip()
-        if not line or line.startswith("#"):
+        tokens = _decode(raw, number).split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
-        if not (tokens[0].isascii() and tokens[0].isdigit()):
-            raise TraceError(f"timestamp {tokens[0]!r} is not an integer", number)
-        timestamp = int(tokens[0])
+        stamp = tokens[0]
+        if not (stamp.isascii() and stamp.isdigit()):
+            raise TraceError(f"timestamp {stamp!r} is not an integer", number)
+        timestamp = int(stamp)
         if timestamp <= 0:
             raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
-        if previous is not None and timestamp <= previous:
+        if timestamps and timestamp <= timestamps[-1]:
             raise TraceError(
-                f"non-monotonic timestamp {timestamp} (previous was {previous})", number
+                f"non-monotonic timestamp {timestamp} (previous was {timestamps[-1]})", number
             )
-        previous = timestamp
-        elements.append((frozenset(tokens[1:]), timestamp))
-    if not elements:
+        index = len(timestamps)
+        timestamps.append(timestamp)
+        if index == capacity:
+            zeros = bytes(capacity or 64)
+            capacity += len(zeros)
+            for flags in columns.values():
+                flags += zeros
+        del tokens[0]
+        for atom in tokens:
+            flags = columns.get(atom)
+            if flags is None:
+                flags = columns[atom] = bytearray(capacity)
+            flags[index] = 1
+    if not timestamps:
         raise TraceError("empty trace: checking needs at least one element")
-    return TimedWord(tuple(elements))
+    n = len(timestamps)
+    return TimedWord(timestamps, {atom: flags[:n] for atom, flags in columns.items()})
 
 
 def parse_trace(stream: BinaryIO) -> TimedWord:

@@ -41,7 +41,73 @@ from mtlcheck.formula import (
     Or,
     Until,
 )
-from mtlcheck.trace import TimedWord
+from mtlcheck.trace import TimedWord, TraceError, word
+
+
+# ---------------------------------------------------------------------------
+# Tuple view of a timed word, and a naive trace parser
+# ---------------------------------------------------------------------------
+
+def atoms_at(w: TimedWord, i: int) -> frozenset[str]:
+    """The atoms that hold at element i."""
+    return frozenset(a for a in w.atoms if w.column(a)[i])
+
+
+def elements(w: TimedWord) -> tuple[tuple[frozenset[str], int], ...]:
+    """The word as (atom set, timestamp) pairs."""
+    return tuple((atoms_at(w, i), t) for i, t in enumerate(w.timestamps))
+
+
+class ShownWord(TimedWord):
+    """A word that also offers the tuple view as ``elements`` and shows it
+    as its repr, so failure messages and falsifying examples list the
+    pairs."""
+
+    @property
+    def elements(self) -> tuple[tuple[frozenset[str], int], ...]:
+        return elements(self)
+
+    def __repr__(self) -> str:
+        return f"word{elements(self)!r}"
+
+
+def shown_word(*pairs: tuple[Iterable[str], int]) -> ShownWord:
+    w = word(*pairs)
+    return ShownWord(w.timestamps, {a: w.column(a) for a in w.atoms})
+
+
+def naive_parse(lines: Iterable) -> tuple[tuple[frozenset[str], int], ...]:
+    """Trace lines as (atom set, timestamp) pairs, one frozenset per element,
+    with the same errors and line numbers as ``parse_trace_lines``."""
+    pairs: list[tuple[frozenset[str], int]] = []
+    previous: Optional[int] = None
+    for number, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes):
+            try:
+                raw = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceError(
+                    f"byte 0x{raw[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text",
+                    number,
+                ) from None
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if not (tokens[0].isascii() and tokens[0].isdigit()):
+            raise TraceError(f"timestamp {tokens[0]!r} is not an integer", number)
+        timestamp = int(tokens[0])
+        if timestamp <= 0:
+            raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
+        if previous is not None and timestamp <= previous:
+            raise TraceError(
+                f"non-monotonic timestamp {timestamp} (previous was {previous})", number
+            )
+        previous = timestamp
+        pairs.append((frozenset(tokens[1:]), timestamp))
+    if not pairs:
+        raise TraceError("empty trace: checking needs at least one element")
+    return tuple(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +184,7 @@ def naive_point(w: TimedWord, i: int, f: Formula, _memo: Optional[dict] = None) 
         return memo[key]
     timestamps = w.timestamps
     if isinstance(f, Atom):
-        value = f.name in w.atoms_at(i)
+        value = f.name in atoms_at(w, i)
     elif isinstance(f, Act):
         value = True
     elif isinstance(f, Not):
@@ -179,7 +245,7 @@ def naive_lazy(w: TimedWord, t: int, f: Formula, _memo: Optional[dict] = None) -
         return memo[key]
     timestamps = w.timestamps
     if isinstance(f, Atom):
-        value = any(ts == t and f.name in atoms for atoms, ts in w.elements)
+        value = any(ts == t and f.name in atoms for atoms, ts in elements(w))
     elif isinstance(f, Act):
         value = t in timestamps
     elif isinstance(f, Not):
@@ -242,7 +308,7 @@ def naive_lazy_rational(w: TimedWord, t: Fraction, f: Formula, denominator: int,
             x += step
 
     if isinstance(f, Atom):
-        value = any(ts == t and f.name in atoms for atoms, ts in w.elements)
+        value = any(ts == t and f.name in atoms for atoms, ts in elements(w))
     elif isinstance(f, Act):
         value = any(ts == t for ts in timestamps)
     elif isinstance(f, Not):
@@ -536,7 +602,7 @@ def random_word(
     for ts in stamps:
         atom_set = frozenset(a for a in atoms if rng.random() < 0.5)
         elements.append((atom_set, ts))
-    return TimedWord(tuple(elements))
+    return shown_word(*elements)
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +663,7 @@ def words(
             mask = picks[idx % len(picks)] if picks else 0
             atom_set = frozenset(a for bit, a in enumerate(atoms) if mask >> bit & 1)
             elements.append((atom_set, ts))
-        return TimedWord(tuple(elements))
+        return shown_word(*elements)
 
     return st.builds(
         build,

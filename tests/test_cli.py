@@ -4,7 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import types
 from unittest import mock
 
@@ -12,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mtlcheck
 from mtlcheck.cli import BENCH_CSV_COLUMNS, main
 from mtlcheck.formula import to_text
-from oracles import random_formula, words
+from oracles import elements, random_formula, words
 
 EXAMPLE_TRACE = "1 p\n2 p\n4\n6 p\n8 p\n9\n10\n"
 
@@ -127,10 +131,16 @@ class TestCheck:
         assert payload["verdict"] is True
         assert payload["iterations"] == 4
         assert payload["peak_win_records"] <= 5
-        assert set(payload) == {"verdict", "iterations", "peak_win_records", "reducers"}
+        assert set(payload) == {
+            "verdict", "iterations", "elements", "peak_win_records", "reducers",
+        }
+        assert payload["elements"] == 7
         assert [set(row) for row in payload["reducers"]] == [
-            {"reducer_key", "peak_win", "records_in", "records_out", "iteration_ms"}
+            {"reducer_key", "peak_win", "records_in", "markers", "records_out", "iteration_ms"}
         ] * len(payload["reducers"])
+        # only F[0,3] p, under the F=4 step, needs instants that are not
+        # positions: 1 2 4 6 8 9 10 shifted by 4, less the positions
+        assert [row["markers"] for row in payload["reducers"]] == [0, 4, 0, 0]
 
     def test_table_to_stdout(self, capsys, trace_file):
         code = main(["check", trace_file, "-f", "F[3,7] p", "--table", "-"])
@@ -210,6 +220,16 @@ class TestCheck:
     def test_missing_trace_file_exit_2(self, capsys, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "-f", "p"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_runs_as_a_module(self, trace_file):
+        src = os.path.dirname(os.path.dirname(mtlcheck.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "mtlcheck", "check", trace_file, "-f", "G[0,1] !p"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (1, "VERDICT: false\n", "")
 
 
 class TestGenerate:
@@ -305,7 +325,7 @@ class TestBench:
 
 
 def _trace_text(w):
-    return "".join(f"{tau} {' '.join(sorted(atoms))}\n" for atoms, tau in w.elements)
+    return "".join(f"{tau} {' '.join(sorted(atoms))}\n" for atoms, tau in elements(w))
 
 
 # Trace bytes: valid words, valid words with one line spoiled, and junk.

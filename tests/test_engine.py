@@ -554,12 +554,17 @@ class TestRunPipeline:
         f = parse_formula("F[3,7] p")
         res = run_pipeline(EXAMPLE_WORD, f, semantics=LAZY, window_budget=4)
         payload = res.stats.to_json_dict()
-        assert set(payload) == {"verdict", "iterations", "peak_win_records", "reducers"}
+        assert set(payload) == {
+            "verdict", "iterations", "elements", "peak_win_records", "reducers",
+        }
+        assert payload["elements"] == len(EXAMPLE_WORD)
         heights = []
         for row in payload["reducers"]:
             assert set(row) == {
-                "reducer_key", "peak_win", "records_in", "records_out", "iteration_ms",
+                "reducer_key", "peak_win", "records_in", "markers", "records_out",
+                "iteration_ms",
             }
+            assert 0 <= row["markers"] <= row["records_in"]
             node = next(
                 n for n in res.table.nodes if to_text(n) == row["reducer_key"]
             )

@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from mtlcheck.trace import (
     parse_trace_lines,
     word,
 )
+from oracles import atoms_at, elements, naive_parse
 
 
 class TestTimedWord:
@@ -23,9 +25,12 @@ class TestTimedWord:
         w = word((("p", "q"), 3), ((), 5), (("p",), 9))
         assert len(w) == 3
         assert w.timestamps == (3, 5, 9)
-        assert w.atoms_at(0) == frozenset({"p", "q"})
-        assert w.atoms_at(1) == frozenset()
+        assert atoms_at(w, 0) == frozenset({"p", "q"})
+        assert atoms_at(w, 1) == frozenset()
         assert w.timestamp_at(2) == 9
+        assert [w.index_of(t) for t in (0, 3, 4, 5, 9, 10)] == [None, 0, None, 1, 2, None]
+        assert w.atoms == frozenset({"p", "q"})
+        assert list(w.column("p")) == [1, 0, 1]
 
     def test_rejects_bad_orderings(self):
         with pytest.raises(TraceError):
@@ -36,6 +41,8 @@ class TestTimedWord:
             word((("p",), 0))
         with pytest.raises(TraceError):
             word()
+        with pytest.raises(TraceError, match="atom 'p' has 1 flags for 2 elements"):
+            TimedWord((1, 2), {"p": bytearray(1)})
 
 
 class TestParsing:
@@ -44,12 +51,12 @@ class TestParsing:
         w = parse_trace_lines(lines)
         assert len(w) == 7
         assert w.timestamps == (1, 2, 4, 6, 8, 9, 10)
-        p_holds = [i for i in range(len(w)) if "p" in w.atoms_at(i)]
+        p_holds = [i for i in range(len(w)) if "p" in atoms_at(w, i)]
         assert [w.timestamp_at(i) for i in p_holds] == [1, 2, 6, 8]
 
     def test_multiple_atoms_per_element(self):
         w = parse_trace_lines(["5 a b c"])
-        assert w.atoms_at(0) == frozenset({"a", "b", "c"})
+        assert atoms_at(w, 0) == frozenset({"a", "b", "c"})
 
     def test_comments_and_blanks_are_skipped(self):
         w = parse_trace_lines(["# header", "", "1 p", "   ", "# mid", "2 q"])
@@ -83,6 +90,94 @@ class TestParsing:
         assert w.timestamps == (1, 2)
 
 
+def _parsed(parse, lines):
+    """The parse as (atom set, timestamp) pairs, or its error message."""
+    try:
+        result = parse(lines)
+    except TraceError as exc:
+        return str(exc)
+    return result if isinstance(result, tuple) else elements(result)
+
+
+# One trace line: a comment, a blank, or a timestamp with atoms drawn from
+# a small pool, so atoms repeat on a line and are missing from others.
+TRACE_LINES = st.lists(
+    st.one_of(
+        st.just("# comment"),
+        st.sampled_from(["", " ", "\t"]),
+        st.tuples(
+            st.one_of(st.integers(min_value=0, max_value=40).map(str),
+                      st.sampled_from(["x", "+3", "1_0"])),
+            st.lists(st.sampled_from(["p", "q", "r", "p2"]), max_size=5),
+            st.sampled_from([" ", "\t", "  "]),
+        ).map(lambda t: t[2].join([t[0], *t[1]])),
+    ),
+    max_size=12,
+)
+
+
+class TestColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(TRACE_LINES, st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1),
+           st.booleans())
+    def test_parse_agrees_with_a_per_element_parser(self, lines, endings, ascending):
+        if ascending:  # mostly valid traces: timestamps made increasing
+            stamp = 0
+            for n, line in enumerate(lines):
+                head, _, rest = line.partition(" ")
+                if head.isdigit():
+                    stamp += int(head) % 3 + 1
+                    lines[n] = f"{stamp} {rest}"
+        data = "".join(
+            line + endings[n % len(endings)] for n, line in enumerate(lines)
+        ).encode()
+        for split in (data.splitlines(), data.splitlines(keepends=True),
+                      data.decode().splitlines(keepends=True)):
+            assert _parsed(parse_trace_lines, split) == _parsed(naive_parse, split)
+
+    def test_repeated_and_missing_atoms(self):
+        w = parse_trace_lines(["5 p p", "6 q", "7"])
+        assert elements(w) == ((frozenset({"p"}), 5), (frozenset({"q"}), 6), (frozenset(), 7))
+        assert list(w.column("p")) == [1, 0, 0]
+        assert list(w.column("absent")) == [0, 0, 0]
+        assert w == word((("p",), 5), (("q",), 6), ((), 7))
+
+    def test_word_of_a_generated_trace_is_small(self):
+        buf = io.BytesIO()
+        generate_trace(GeneratorConfig(n=10_500, m=20, seed=1), buf)
+        lines = buf.getvalue().splitlines()
+        tracemalloc.start()
+        try:
+            w = parse_trace_lines(lines)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(w) == 10_500
+        assert held <= 1024 * 1024, f"the word holds {held / 2**20:.2f} MiB"
+
+
+class TestLineBoundaries:
+    """Lines are those of bytes.splitlines: \\x0c, \\x85 and \\u2028 stay
+    inside a line, where they separate tokens, and a lone \\r ends one."""
+
+    @pytest.mark.parametrize("sep", ["\x0c", "\x85", "\u2028"])
+    def test_unicode_separators_stay_inside_a_line(self, sep):
+        data = f"1 p{sep}q\n2{sep}r\n".encode()
+        w = parse_trace_lines(data.splitlines())
+        assert elements(w) == ((frozenset({"p", "q"}), 1), (frozenset({"r"}), 2))
+        bad = f"1 p{sep}2 q\n2 r\n1 s\n".encode()
+        with pytest.raises(TraceError, match=r"^line 3: non-monotonic timestamp 1 \(previous was 2\)$"):
+            parse_trace_lines(bad.splitlines())
+
+    def test_lone_carriage_return_ends_a_line(self):
+        w = parse_trace_lines(b"1 p\r2 q\r\n3\n".splitlines())
+        assert elements(w) == ((frozenset({"p"}), 1), (frozenset({"q"}), 2), (frozenset(), 3))
+        with pytest.raises(TraceError, match=r"^line 2: non-monotonic timestamp 1 \(previous was 1\)$"):
+            parse_trace_lines(b"1 p\r1 q\n".splitlines())
+        with pytest.raises(TraceError, match=r"^line 3: timestamp 'x' is not an integer$"):
+            parse_trace_lines(b"1 p\r\n\rx q\n".splitlines())
+
+
 class TestGenerator:
     def test_forced_p_tiny_golden(self):
         buf = io.BytesIO()
@@ -112,19 +207,19 @@ class TestGenerator:
         generate_trace(GeneratorConfig(n=60, m=6, seed=1, force_p=True), buf)
         buf.seek(0)
         w = parse_trace(buf)
-        assert all("p" in w.atoms_at(i) for i in range(len(w)))
+        assert all("p" in atoms_at(w, i) for i in range(len(w)))
 
     def test_suppress_q_removes_q(self):
         buf = io.BytesIO()
         generate_trace(GeneratorConfig(n=60, m=6, seed=1, suppress_q=True), buf)
         buf.seek(0)
         w = parse_trace(buf)
-        assert all("q" not in w.atoms_at(i) for i in range(len(w)))
+        assert all("q" not in atoms_at(w, i) for i in range(len(w)))
         buf = io.BytesIO()
         generate_trace(GeneratorConfig(n=60, m=6, seed=1), buf)
         buf.seek(0)
         w = parse_trace(buf)
-        assert any("q" in w.atoms_at(i) for i in range(len(w)))
+        assert any("q" in atoms_at(w, i) for i in range(len(w)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=8),
@@ -135,4 +230,4 @@ class TestGenerator:
         buf.seek(0)
         w = parse_trace(buf)
         assert count == n == len(w)
-        assert all(1 <= len(w.atoms_at(i)) <= m for i in range(len(w)))
+        assert all(1 <= len(atoms_at(w, i)) <= m for i in range(len(w)))

@@ -27,7 +27,7 @@ from mtlcheck.formula import (
     to_text,
 )
 from mtlcheck.semantics import eval_lazy, eval_point
-from mtlcheck.trace import TimedWord, word
+from mtlcheck.trace import word
 from mtlcheck.transforms import (
     TransformError,
     decompose,
@@ -282,16 +282,16 @@ class TestBoundedUntilExpansion:
         rewritten = decompose(translated, k)
         assert max_bounded_upper(rewritten) <= k
         for assignment in itertools.product(range(4), repeat=len(stamps)):
-            elements = []
+            pairs = []
             for mask, ts in zip(assignment, stamps):
                 atoms = frozenset(
                     name for bit, name in enumerate(("a", "b")) if mask >> bit & 1
                 )
-                elements.append((atoms, ts))
-            w = TimedWord(tuple(elements))
+                pairs.append((atoms, ts))
+            w = word(*pairs)
             for t in instants:
                 assert eval_lazy(w, t, rewritten) == eval_lazy(w, t, translated), (
-                    to_text(rewritten), w.elements, t
+                    to_text(rewritten), pairs, t
                 )
 
     def test_lower_bound_at_the_budget_with_closed_edge(self):
