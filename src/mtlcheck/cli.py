@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -362,7 +363,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         return _fail(str(exc))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return status
+    except BrokenPipeError:  # the reader is gone: flush what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("standard output was closed before the output was written")
     except Exception as exc:  # a defect, not a verdict: exit 1 would read as false
         message = " ".join(str(exc).split())
         return _fail(f"internal error: {type(exc).__name__}: {message}")

@@ -45,21 +45,25 @@ time, in order of height.  A key's sanctioned markers are planted from
 the precomputed offset sets only when the key is reduced, and each key's
 inbox is dropped as soon as it has been reduced, so the records alive at
 any time are the current key's inputs plus the outputs already routed to
-taller keys.  Seeding tests instants against the positions as a range when
-they are contiguous and builds a set of them only when they are not; a
-point-mode run plants no markers and builds neither.  ``--stats`` reports
-the markers planted for each key.  Planting markers per key instead of record by record
-through a mapper changes no output: the mapper's sanctioned instants are
-exactly the position set shifted by the key's offsets, and the markers it
-would add beyond those (repeats, markers at position instants and
-unsanctioned ones) are ones the reducers ignore.  The test suite pins
-this against a record-by-record mapper oracle.
+taller keys.  Markers go only to gaps between positions up to the last
+one: past it no position lies, so every key is constant (``tail_values``)
+and a window key reads an instant whose window lies wholly there from its
+tail value.  Contiguous timestamps thus need no markers (bar zero-anchor
+instants before the first), and no key emits a record past the last
+element.  ``--stats`` reports the markers planted for each key.  Planting
+markers per key instead of record by record through a mapper changes no
+output: the mapper's sanctioned instants are exactly the position set
+shifted by the key's offsets, and the markers it would add beyond those
+(repeats, markers at position instants and unsanctioned ones) are ones
+the reducers ignore.  The test suite pins this against a record-by-record
+mapper oracle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 from .formula import (
@@ -169,6 +173,24 @@ def compute_offsets(table: FormulaTable) -> dict[int, frozenset[int]]:
     return {i: frozenset(s) for i, s in working.items()}
 
 
+def tail_values(table: FormulaTable) -> dict[int, bool]:
+    """Each key's value past the last element, where no position lies:
+    atoms, eventually and until read false, globally true, and the other
+    keys follow their operands.  Ids list children first."""
+    tails: dict[int, bool] = {}
+    for node_id, node in enumerate(table.nodes, start=1):
+        kids = [tails[c] for c in table.child_ids[node_id]]
+        if isinstance(node, Not):
+            tails[node_id] = not kids[0]
+        elif isinstance(node, And):
+            tails[node_id] = all(kids)
+        elif isinstance(node, (Or, ExactStep)):
+            tails[node_id] = any(kids)
+        else:
+            tails[node_id] = isinstance(node, Globally)
+    return tails
+
+
 def shuffle_sort(records: list[int]) -> list[int]:
     """Order one key's records for reduction: timestamps descending; within
     a timestamp real records first (higher child ids first), then sanctioned
@@ -208,6 +230,8 @@ def reduce_window(
     buffer_truth: bool = True,
     negate: bool = False,
     cut_id: Optional[int] = None,
+    last: Optional[int] = None,
+    tail: bool = False,
     key_text: str = "?",
 ) -> tuple[list[int], int]:
     """Sliding-window reducer for eventually / globally / exact-step / until
@@ -230,7 +254,8 @@ def reduce_window(
     decrease.  A probe then reads the farthest live entry, ``win[far]``, so
     each is amortized O(1).  Evicted slots are dropped in bulk once they
     outnumber the live ones, so memory stays proportional to the window,
-    not to the stream.
+    not to the stream.  With ``last`` set, an instant whose window lies
+    wholly past ``last`` reads ``tail``, the key's tail value, unprobed.
 
     Boolean keys keep their own loop in ``reduce_join``: folding the join
     in as well (operand values per instant instead of a buffer) measured
@@ -238,6 +263,7 @@ def reduce_window(
     sparse nested one.
     """
     lo, up = _closed_bounds(interval)
+    tail_after = float("inf") if last is None else last - lo
     span = _closed_bounds(convex_union_with_zero(interval))[1]
     sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
     sel_want = (child_id << 3) | (TRUTH_FLAG if buffer_truth else 0) | (
@@ -306,6 +332,8 @@ def reduce_window(
             val = far < end and win[far] - tau >= lo
             if negate:
                 val = not val
+            if tau > tail_after:
+                val = tail
             outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
         if cut:
             # a failing left operand at this position cuts continuity for
@@ -401,16 +429,6 @@ class ReducerStats:
     records_out: int
     iteration_ms: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "reducer_key": self.reducer_key,
-            "peak_win": self.peak_win,
-            "records_in": self.records_in,
-            "markers": self.markers,
-            "records_out": self.records_out,
-            "iteration_ms": self.iteration_ms,
-        }
-
 
 @dataclass
 class RunStats:
@@ -421,13 +439,8 @@ class RunStats:
     reducers: list[ReducerStats] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "iterations": self.iterations,
-            "elements": self.elements,
-            "peak_win_records": self.peak_win_records,
-            "reducers": [row.to_json_dict() for row in self.reducers],
-        }
+        """The ``--stats`` envelope: the fields above, rows as dicts."""
+        return asdict(self)
 
 
 @dataclass
@@ -446,18 +459,19 @@ class PipelineResult:
         return self.streams[self.table.id_of[f]]
 
 
-def _reducer_spec(node: Formula, table: FormulaTable):
+def _reducer_spec(node: Formula, table: FormulaTable, last: int, tails: dict[int, bool]):
     node_id = table.id_of[node]
     kids = table.child_ids[node_id]
+    end = dict(last=last, tail=tails[node_id])
     if isinstance(node, Eventually):
-        return ("window", kids[0], node.interval, dict(admit_any=False, buffer_truth=True, negate=False))
+        return ("window", kids[0], node.interval, dict(admit_any=False, buffer_truth=True, negate=False, **end))
     if isinstance(node, ExactStep):
-        return ("window", kids[0], node_interval(node), dict(admit_any=True, buffer_truth=True, negate=False))
+        return ("window", kids[0], node_interval(node), dict(admit_any=True, buffer_truth=True, negate=False, **end))
     if isinstance(node, Globally):
-        return ("window", kids[0], node.interval, dict(admit_any=False, buffer_truth=False, negate=True))
+        return ("window", kids[0], node.interval, dict(admit_any=False, buffer_truth=False, negate=True, **end))
     if isinstance(node, Until):
         return ("window", kids[1], node.interval,
-                dict(admit_any=False, buffer_truth=True, negate=False, cut_id=kids[0]))
+                dict(admit_any=False, buffer_truth=True, negate=False, cut_id=kids[0], **end))
     if isinstance(node, Not):
         ids = (kids[0],)
         leafs = (table.height_of[kids[0]] == 1,)
@@ -486,37 +500,25 @@ def _reduce_one(node_id: int, table: FormulaTable, spec, records: list[int]):
     return outputs, peak, records_in, elapsed_ms
 
 
-def _position_instants(positions: Sequence[int]) -> Union[range, set[int]]:
-    """The position instants for membership tests: a range when they are
-    contiguous, which costs no per-position entry, else a set."""
-    first, last = positions[0], positions[-1]
-    if len(positions) == last - first + 1:
-        return range(first, last + 1)
-    return set(positions)
-
-
 def _seed_instants(
-    positions: Sequence[int],
-    position_set: Union[range, set[int]],
+    word: TimedWord,
+    position_set: Optional[set[int]],
     offs: Iterable[int],
     extra: Iterable[int],
 ) -> list[int]:
-    """Instants to plant sanctioned markers at: every position shifted by
-    each nonzero offset (minus instants that already are positions), plus
-    any extra anchor instants.  ``position_set`` is what
-    ``_position_instants`` returns for the positions."""
-    first, last = positions[0], positions[-1]
-    contiguous = isinstance(position_set, range)
+    """Instants to plant sanctioned markers at: the positions shifted by
+    each nonzero offset, plus any extra anchor instants, that fall in gaps
+    up to the last position.  ``position_set`` is None when the positions
+    are contiguous, so that no shifted one falls in a gap."""
+    positions = word.timestamps
+    last = positions[-1]
     inst: set[int] = set()
-    for off in offs:
-        if not off:
-            continue
-        if contiguous:
-            start = max(first + off, last + 1)
-            inst.update(range(start, last + off + 1))
-        else:
-            inst.update(t + off for t in positions if (t + off) not in position_set)
-    inst.update(o for o in extra if o not in position_set)
+    if position_set is not None:
+        for off in offs:
+            if off:
+                shifted = positions[: bisect_right(positions, last - off)]
+                inst.update(t + off for t in shifted if (t + off) not in position_set)
+    inst.update(o for o in extra if o <= last and word.index_of(o) is None)
     return sorted(inst)
 
 
@@ -571,8 +573,9 @@ def run_pipeline(
         else {i: frozenset((0,)) for i in range(1, table.size + 1)}
     )
     positions = word.timestamps
-    position_set = _position_instants(positions) if lazy_mode else None
-    anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
+    first, last = positions[0], positions[-1]
+    position_set = set(positions) if lazy_mode and len(positions) <= last - first else None
+    anchor_instant = 0 if anchor == ANCHOR_ZERO else first
     inboxes: dict[int, list[int]] = {}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
 
@@ -592,7 +595,7 @@ def run_pipeline(
         if not lazy_mode:
             return records, 0
         extra = offsets[key_id] if anchor == ANCHOR_ZERO else ()
-        instants = _seed_instants(positions, position_set, offsets[key_id], extra)
+        instants = _seed_instants(word, position_set, offsets[key_id], extra)
         records += [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
         return records, len(instants)
 
@@ -601,8 +604,9 @@ def run_pipeline(
     while per_atom:
         route(*per_atom.popitem())
 
+    tails = tail_values(table)
     specs = {
-        table.id_of[node]: _reducer_spec(node, table)
+        table.id_of[node]: _reducer_spec(node, table, last, tails)
         for node in table.nodes
         if not isinstance(node, (Atom, Act))
     }

@@ -2,11 +2,11 @@
 
 Trace files are line oriented text: each non-comment line is
 ``<timestamp> <atom> <atom> ...`` with ASCII decimal timestamps, any
-whitespace run as separator, and ``#`` starting a comment line.  The
-command line splits trace bytes with ``bytes.splitlines``, so ``\\n``,
-``\\r\\n`` and a lone ``\\r`` end a line, while ``\\x0c``, ``\\x85`` and
-``\\u2028`` stay inside one and separate its tokens.  Timestamps must be
-strictly increasing and strictly positive.
+whitespace run as separator, and ``#`` starting a comment line.  Both
+``parse_trace`` and the command line split trace bytes with
+``bytes.splitlines``, so ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line,
+while ``\\x0c``, ``\\x85`` and ``\\u2028`` stay inside one and separate its
+tokens.  Timestamps must be strictly increasing and strictly positive.
 
 A parsed word is stored by column: one tuple of timestamps and, per atom,
 one byte per element flagging where the atom holds.  A 10,500-element
@@ -172,8 +172,8 @@ def parse_trace_lines(lines: Iterable[Union[str, bytes]]) -> TimedWord:
 
 
 def parse_trace(stream: BinaryIO) -> TimedWord:
-    """Parse a byte stream of trace lines."""
-    return parse_trace_lines(stream)
+    """Parse a byte stream of trace lines, split as the command line does."""
+    return parse_trace_lines(stream.read().splitlines())
 
 
 @dataclass(frozen=True)

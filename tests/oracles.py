@@ -370,16 +370,18 @@ def map_step(
     record: int,
     table: FormulaTable,
     offsets: dict[int, frozenset[int]],
+    last: Optional[int] = None,
 ) -> list[tuple[int, int]]:
     """Map one record of one key to the records it contributes upstream.
 
     Every record is routed to each superformula key.  A position record
     additionally plants sanctioned markers at the parent's offset instants
-    and, under a decomposition-made exact-step parent, an (unsanctioned)
-    marker one step ahead.  The function is pure: output depends only on
-    the record and the job's static tables.  The runner seeds the same
-    sanctioned markers per key instead; the tests pin the two routes
-    together.
+    up to ``last`` (the last element's timestamp; every key reads its tail
+    value past it) and, under a decomposition-made exact-step parent, an
+    (unsanctioned) marker one step ahead.  The function is pure: output
+    depends only on the record and the job's static tables.  The runner
+    seeds the same sanctioned markers per key instead; the tests pin the
+    two routes together.
     """
     outs: list[tuple[int, int]] = []
     tau = record >> TAU_SHIFT
@@ -389,7 +391,7 @@ def map_step(
         outs.append((parent_id, record))
         if is_real and flagged:
             for off in sorted(offsets.get(parent_id, frozenset((0,)))):
-                if off:
+                if off and (last is None or tau + off <= last):
                     outs.append(
                         (parent_id, pack_record(tau + off, ACT_CHILD, False, False, True))
                     )

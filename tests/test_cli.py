@@ -139,8 +139,9 @@ class TestCheck:
             {"reducer_key", "peak_win", "records_in", "markers", "records_out", "iteration_ms"}
         ] * len(payload["reducers"])
         # only F[0,3] p, under the F=4 step, needs instants that are not
-        # positions: 1 2 4 6 8 9 10 shifted by 4, less the positions
-        assert [row["markers"] for row in payload["reducers"]] == [0, 4, 0, 0]
+        # positions: 1 2 4 6 8 9 10 shifted by 4, less the positions and
+        # the instants past the last one, 10
+        assert [row["markers"] for row in payload["reducers"]] == [0, 1, 0, 0]
 
     def test_table_to_stdout(self, capsys, trace_file):
         code = main(["check", trace_file, "-f", "F[3,7] p", "--table", "-"])
@@ -230,6 +231,36 @@ class TestCheck:
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert (done.returncode, done.stdout, done.stderr) == (1, "VERDICT: false\n", "")
+
+    def test_closed_stdout_is_one_plain_error(self, tmp_path):
+        # the table is far larger than a pipe's buffer, so writing it
+        # fails once the reader has closed its end
+        path = tmp_path / "long.txt"
+        path.write_text("".join(f"{t} p\n" for t in range(1, 20001)), encoding="utf-8")
+        src = os.path.dirname(os.path.dirname(mtlcheck.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mtlcheck", "check", str(path), "-f", "p", "--table", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(8) == b"formula\t"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 2
+        assert err.decode().splitlines() == [
+            "error: standard output was closed before the output was written"
+        ]
+
+    def test_contiguous_trace_plants_no_markers(self, capsys, tmp_path):
+        path = tmp_path / "unit.txt"
+        path.write_text("".join(f"{t} p{t % 3}\n" for t in range(1, 61)), encoding="utf-8")
+        for formula in ("F[3,17] p1", "G[0,20] (p0 -> F[0,5] p2)", "p1 U[2,15] p2"):
+            code = main(["check", str(path), "-f", formula, "--k", "4", "--stats"])
+            lines = capsys.readouterr().out.splitlines()
+            assert code in (0, 1)
+            rows = json.loads("\n".join(lines[:-1]))["reducers"]
+            assert len(rows) > 3
+            assert [row["markers"] for row in rows] == [0] * len(rows)
 
 
 class TestGenerate:

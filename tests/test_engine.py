@@ -24,6 +24,7 @@ from mtlcheck.engine import (
     reduce_window,
     run_pipeline,
     shuffle_sort,
+    tail_values,
 )
 from mtlcheck.formula import (
     Act,
@@ -37,9 +38,9 @@ from mtlcheck.formula import (
     parse_formula,
     to_text,
 )
-from mtlcheck.semantics import ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
+from mtlcheck.semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
 from mtlcheck.trace import TraceError, word
-from mtlcheck.transforms import lazy_translation
+from mtlcheck.transforms import lazy_translation, max_bounded_upper
 from oracles import (
     check_dup,
     formulas,
@@ -495,7 +496,8 @@ class TestRunPipeline:
         positions = set(w.timestamps)
         for node_id, stream in res.streams.items():
             offs = res.offsets[node_id]
-            want = positions | {t + o for t in positions for o in offs if o}
+            # no instant past the last element: every key is constant there
+            want = positions | {t + o for t in positions for o in offs if o and t + o <= 15}
             assert {record_tau(r) for r in stream} == want
             flagged = {record_tau(r) for r in stream if record_position(r)}
             assert flagged == positions
@@ -587,15 +589,17 @@ def _mapper_route(w, formula, budget):
         if budget is not None
         else {i: frozenset({0}) for i in range(1, table.size + 1)}
     )
+    last = w.timestamps[-1]
     inbox = defaultdict(list)
     streams = {}
     for aid, recs in atom_records(w, table).items():
         streams[aid] = list(recs)
         for rec in recs:
-            for key, out in map_step(aid, rec, table, offsets):
+            for key, out in map_step(aid, rec, table, offsets, last):
                 inbox[key].append(out)
+    tails = tail_values(table)
     specs = {
-        table.id_of[node]: _reducer_spec(node, table)
+        table.id_of[node]: _reducer_spec(node, table, last, tails)
         for node in table.nodes
         if table.child_ids[table.id_of[node]]
     }
@@ -603,7 +607,7 @@ def _mapper_route(w, formula, budget):
         outputs, _, _, _ = _reduce_one(kid, table, specs[kid], inbox.pop(kid, []))
         streams[kid] = outputs
         for rec in outputs:
-            for key, out in map_step(kid, rec, table, offsets):
+            for key, out in map_step(kid, rec, table, offsets, last):
                 inbox[key].append(out)
     return table, streams
 
@@ -624,6 +628,52 @@ class TestSeedingMatchesTheMapperRoute:
         table, streams = _mapper_route(w, f, None)
         res = run_pipeline(w, f, collect_streams=True)
         assert res.streams == streams
+
+
+class TestTail:
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=5),
+           words(max_len=7, max_timestamp=20))
+    def test_tail_values_match_the_lazy_evaluator(self, f, k, w):
+        res = run_pipeline(w, f, semantics=LAZY, window_budget=k)
+        tails = tail_values(res.table)
+        last = w.timestamps[-1]
+        reach = max(max(offs) for offs in res.offsets.values()) + max_bounded_upper(res.table.root)
+        for node in res.table.nodes:
+            for t in (last + 1, last + 1 + reach):
+                want = eval_lazy(w, t, res.guard_map[node])
+                assert tails[res.table.id_of[node]] == want, (to_text(node), t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=5),
+           words(max_len=7, max_timestamp=20), st.sampled_from([ANCHOR_FIRST, ANCHOR_ZERO]))
+    def test_no_record_past_the_last_element(self, f, k, w, anchor):
+        res = run_pipeline(w, f, semantics=LAZY, window_budget=k, anchor=anchor,
+                           collect_streams=True)
+        last = w.timestamps[-1]
+        for stream in res.streams.values():
+            assert all(record_tau(r) <= last for r in stream)
+
+    def test_zero_anchor_plants_no_instant_past_the_last_element(self):
+        # offsets reach 6 on a trace that ends at 2; only instant 0 is a gap
+        w = word((("p",), 1), (("p",), 2))
+        res = run_pipeline(w, parse_formula("F[3,7] p"), semantics=LAZY, window_budget=2,
+                           anchor=ANCHOR_ZERO, collect_streams=True)
+        assert max(max(offs) for offs in res.offsets.values()) == 6
+        assert {record_tau(r) for s in res.streams.values() for r in s} == {0, 1, 2}
+        assert res.verdict is False
+
+    def test_exact_step_reads_its_operand_tail_past_the_end(self):
+        # F=3 over an operand false at positions 1-5 and true past 5: the
+        # decomposition never builds such an operand, so call the reducer
+        records = shuffle_sort([pack_record(t, 2, False, True, False) for t in range(1, 6)])
+        step = Interval(3, 3, True, True)
+        got, _ = reduce_window(records, 2, step, 3, admit_any=True, last=5, tail=True)
+        assert [(record_tau(r), record_truth(r)) for r in got] == [
+            (5, True), (4, True), (3, True), (2, False), (1, False),
+        ]
+        got, _ = reduce_window(records, 2, step, 3, admit_any=True)
+        assert not any(record_truth(r) for r in got)
 
 
 class TestAgainstTheEvaluators:

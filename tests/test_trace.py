@@ -177,6 +177,12 @@ class TestLineBoundaries:
         with pytest.raises(TraceError, match=r"^line 3: timestamp 'x' is not an integer$"):
             parse_trace_lines(b"1 p\r\n\rx q\n".splitlines())
 
+    def test_parse_trace_splits_like_the_command_line(self):
+        for data in (b"1 p\r2 q\n", b"1 p\r2 q\r\n3\x0c r\n", "1 p\x852 q\r".encode()):
+            assert parse_trace(io.BytesIO(data)) == parse_trace_lines(data.splitlines())
+        w = parse_trace(io.BytesIO(b"1 p\r2 q\n"))
+        assert elements(w) == ((frozenset({"p"}), 1), (frozenset({"q"}), 2))
+
 
 class TestGenerator:
     def test_forced_p_tiny_golden(self):
