@@ -40,17 +40,29 @@ entries beyond the interval's upper edge, which never come back in range
 as instants decrease (the monotone-window idea of Lemire's streaming
 min/max filter).
 
-The runner keeps one inbox list per key and reduces the keys one at a
-time, in order of height.  A key's sanctioned markers are planted from
-the precomputed offset sets only when the key is reduced, and each key's
-inbox is dropped as soon as it has been reduced, so the records alive at
-any time are the current key's inputs plus the outputs already routed to
-taller keys.  Markers go only to gaps between positions up to the last
-one: past it no position lies, so every key is constant (``tail_values``)
-and a window key reads an instant whose window lies wholly there from its
-tail value.  Contiguous timestamps thus need no markers (bar zero-anchor
-instants before the first), and no key emits a record past the last
-element.  ``--stats`` reports the markers planted for each key.  Planting
+The runner walks the trace backward in blocks of ``BLOCK`` elements, the
+last block first.  A block's instants are those after the previous
+element's timestamp up to its last element's, and every record at them is
+made within the block: its atom records come from a slice of the word,
+its sanctioned markers are planted from the precomputed offset sets (once
+per distinct set, shared by the keys that have it), and each key, reduced
+in order of height, routes its outputs to its parents' block inboxes.
+Instants later than the block reach it only through each window key's
+buffer, which ``reduce_window`` carries from block to block, so the
+outputs are those of one pass over each key's whole stream.  A block
+inbox is dropped once its key has been reduced, and only the root's
+outputs in the first block are kept, to read the verdict from.  The
+records alive at any time are thus the window buffers plus at most one
+block of each key's inputs and outputs, whatever the trace's length; a
+key's ``--stats`` row sums its counts and times over the blocks, and
+``iterations`` is still the formula's height.
+
+Markers go only to gaps between positions up to the last one: past it no
+position lies, so every key is constant (``tail_values``) and a window
+key reads an instant whose window lies wholly there from its tail value.
+Contiguous timestamps thus need no markers (bar zero-anchor instants
+before the first), and no key emits a record past the last element.
+``--stats`` reports the markers planted for each key.  Planting
 markers per key instead of record by record through a mapper changes no
 output: the mapper's sanctioned instants are exactly the position set
 shifted by the key's offsets, and the markers it would add beyond those
@@ -123,8 +135,12 @@ def record_truth(r: int) -> bool:
 # Pipeline operators
 # ---------------------------------------------------------------------------
 
-def atom_records(word: TimedWord, table: FormulaTable) -> dict[int, list[int]]:
-    """The read step: one position record per trace element and atom key."""
+def atom_records(
+    word: TimedWord, table: FormulaTable, start: int = 0, stop: Optional[int] = None
+) -> dict[int, list[int]]:
+    """The read step: one position record per trace element and atom key,
+    for the elements ``start:stop`` (all of them by default), ascending."""
+    stamps = word.timestamps[start:stop]
     per_atom: dict[int, list[int]] = {}
     for node in table.nodes:
         if isinstance(node, Atom):
@@ -135,7 +151,7 @@ def atom_records(word: TimedWord, table: FormulaTable) -> dict[int, list[int]]:
             )
             per_atom[aid] = [
                 (tau << TAU_SHIFT) | by_flag[flag]
-                for tau, flag in zip(word.timestamps, word.column(node.name))
+                for tau, flag in zip(stamps, word.column(node.name)[start:stop])
             ]
     return per_atom
 
@@ -204,7 +220,24 @@ def shuffle_sort(records: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 
 REAL_MASK = CHILD_MASK << 3  # nonzero exactly for real (non-marker) records
-COMPACT_AFTER = 1024  # evicted slots a window buffer keeps before compacting
+# A window buffer compacts once its evicted slots pass COMPACT_AFTER and an
+# eighth of its live ones.  It looks only when they pass the larger of the
+# two as last computed, so it holds at most its live entries plus
+# COMPACT_AFTER or an eighth of its peak, and each compaction's copy is
+# paid for by the evictions since the last one.
+COMPACT_AFTER = 32
+
+
+@dataclass(slots=True)
+class WindowState:
+    """A window reducer's buffer between calls over consecutive blocks of
+    one key's stream: ``win[head:]`` holds the live entries, ``far`` is the
+    probe head, and ``peak`` the most live entries seen."""
+
+    win: list[int] = field(default_factory=list)
+    head: int = 0
+    far: int = 0
+    peak: int = 0
 
 
 def _closed_bounds(interval) -> tuple[int, Optional[int]]:
@@ -233,6 +266,7 @@ def reduce_window(
     last: Optional[int] = None,
     tail: bool = False,
     key_text: str = "?",
+    state: Optional[WindowState] = None,
 ) -> tuple[list[int], int]:
     """Sliding-window reducer for eventually / globally / exact-step / until
     keys.
@@ -253,9 +287,16 @@ def reduce_window(
     upper edge, which never come back in range because instants only
     decrease.  A probe then reads the farthest live entry, ``win[far]``, so
     each is amortized O(1).  Evicted slots are dropped in bulk once they
-    outnumber the live ones, so memory stays proportional to the window,
-    not to the stream.  With ``last`` set, an instant whose window lies
-    wholly past ``last`` reads ``tail``, the key's tail value, unprobed.
+    pass an eighth of the live ones (see ``COMPACT_AFTER``), so memory
+    stays proportional to the window, not to the stream.  With ``last``
+    set, an instant whose window lies wholly past ``last`` reads ``tail``,
+    the key's tail value, unprobed.
+
+    With ``state`` given, the buffer and its heads are taken from it and
+    left in it, so a key's stream can be reduced block by block, later
+    instants first, with the same outputs as in one call; the peak
+    returned is then the largest over every block so far.  An instant's
+    records must all be in one block.
 
     Boolean keys keep their own loop in ``reduce_join``: folding the join
     in as well (operand values per instant instead of a buffer) measured
@@ -273,10 +314,11 @@ def reduce_window(
     # truth bits when admit_any is false, as it is for until; -1 matches none
     cut_want = -1 if cut_id is None else (cut_id << 3) | POSITION_FLAG
     out_bits = out_key << 3
-    win: list[int] = []
-    head = far = 0
+    if state is None:
+        state = WindowState()
+    win, head, far, peak = state.win, state.head, state.far, state.peak
+    compact_at = COMPACT_AFTER  # evicted slots past which the rule is checked again
     outputs: list[int] = []
-    peak = 0
     i = 0
     n = len(records)
     while i < n:
@@ -316,13 +358,16 @@ def reduce_window(
                 nearest = win[-1]
                 while win[head] - nearest > span:
                     head += 1
-                if head > COMPACT_AFTER and head > end - head:
-                    del win[:head]
-                    far -= head
-                    end -= head
-                    head = 0
             if end - head > peak:
                 peak = end - head
+        if head > compact_at:
+            live = end - head
+            if head > live >> 3:
+                del win[:head]
+                far -= head
+                end = live
+                head = 0
+            compact_at = max(COMPACT_AFTER, live >> 3)
         if emit:
             if far < head:
                 far = head
@@ -340,6 +385,7 @@ def reduce_window(
             # every earlier instant toward witnesses strictly beyond it
             while head < end and win[head] > tau:
                 head += 1
+    state.head, state.far, state.peak = head, far, peak
     return outputs, peak
 
 
@@ -460,66 +506,84 @@ class PipelineResult:
 
 
 def _reducer_spec(node: Formula, table: FormulaTable, last: int, tails: dict[int, bool]):
+    """A key's reducer as ``(kind, args, kwargs)``: the reducer is called
+    as ``reduce_<kind>(records, *args, key_id, **kwargs)``.  The key's text,
+    for its stats row and error messages, is made here once."""
     node_id = table.id_of[node]
     kids = table.child_ids[node_id]
-    end = dict(last=last, tail=tails[node_id])
+    text = dict(key_text=to_text(node))
+    end = dict(last=last, tail=tails[node_id], **text)
     if isinstance(node, Eventually):
-        return ("window", kids[0], node.interval, dict(admit_any=False, buffer_truth=True, negate=False, **end))
+        return ("window", (kids[0], node.interval), dict(admit_any=False, buffer_truth=True, negate=False, **end))
     if isinstance(node, ExactStep):
-        return ("window", kids[0], node_interval(node), dict(admit_any=True, buffer_truth=True, negate=False, **end))
+        return ("window", (kids[0], node_interval(node)), dict(admit_any=True, buffer_truth=True, negate=False, **end))
     if isinstance(node, Globally):
-        return ("window", kids[0], node.interval, dict(admit_any=False, buffer_truth=False, negate=True, **end))
+        return ("window", (kids[0], node.interval), dict(admit_any=False, buffer_truth=False, negate=True, **end))
     if isinstance(node, Until):
-        return ("window", kids[1], node.interval,
+        return ("window", (kids[1], node.interval),
                 dict(admit_any=False, buffer_truth=True, negate=False, cut_id=kids[0], **end))
     if isinstance(node, Not):
         ids = (kids[0],)
         leafs = (table.height_of[kids[0]] == 1,)
-        return ("join", ids, leafs, "not")
+        return ("join", (ids, leafs, "not"), text)
     if isinstance(node, (And, Or)):
         left_id = table.id_of[node.left]
         right_id = table.id_of[node.right]
         ids = (left_id, right_id)
         leafs = tuple(table.height_of[i] == 1 for i in ids)
-        return ("join", ids, leafs, "and" if isinstance(node, And) else "or")
+        return ("join", (ids, leafs, "and" if isinstance(node, And) else "or"), text)
     raise EngineError(f"no reducer for node {node!r}")
 
 
-def _reduce_one(node_id: int, table: FormulaTable, spec, records: list[int]):
+def _reduce_one(
+    node_id: int, table: FormulaTable, spec, records: list[int], state: Optional[WindowState] = None
+):
+    """Sort and reduce a key's records, or one block of them with the
+    key's window ``state`` carried over; returns the outputs, the peak
+    buffer, the records taken in and the milliseconds spent.  The table is
+    not read: the spec holds what the reducer needs."""
     start = time.perf_counter()
     records_in = len(records)
     shuffle_sort(records)
-    key_text = to_text(table.node(node_id))
-    if spec[0] == "window":
-        outputs, peak = reduce_window(
-            records, spec[1], spec[2], node_id, key_text=key_text, **spec[3]
-        )
+    kind, args, kwargs = spec
+    if kind == "window":
+        outputs, peak = reduce_window(records, *args, node_id, state=state, **kwargs)
     else:
-        outputs, peak = reduce_join(records, spec[1], spec[2], spec[3], node_id, key_text)
+        outputs, peak = reduce_join(records, *args, node_id, **kwargs)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return outputs, peak, records_in, elapsed_ms
 
 
 def _seed_instants(
-    word: TimedWord,
-    position_set: Optional[set[int]],
+    positions: Sequence[int],
+    start: int,
+    stop: int,
     offs: Iterable[int],
     extra: Iterable[int],
+    gapped: bool,
 ) -> list[int]:
-    """Instants to plant sanctioned markers at: the positions shifted by
-    each nonzero offset, plus any extra anchor instants, that fall in gaps
-    up to the last position.  ``position_set`` is None when the positions
-    are contiguous, so that no shifted one falls in a gap."""
-    positions = word.timestamps
-    last = positions[-1]
+    """Instants to plant sanctioned markers at in the block of elements
+    ``start:stop``, whose instants are ``(positions[start-1],
+    positions[stop-1]]`` (from instant zero for the first block): the
+    positions shifted by each nonzero offset, plus any extra anchor
+    instants, that fall in the block's gaps.  ``gapped`` is False when the
+    positions are contiguous, so that no shifted one falls in a gap."""
+    lo = positions[start - 1] if start else -1
+    hi = positions[stop - 1]
     inst: set[int] = set()
-    if position_set is not None:
+    if gapped:
         for off in offs:
             if off:
-                shifted = positions[: bisect_right(positions, last - off)]
-                inst.update(t + off for t in shifted if (t + off) not in position_set)
-    inst.update(o for o in extra if o <= last and word.index_of(o) is None)
+                i = bisect_right(positions, lo - off)
+                j = bisect_right(positions, hi - off)
+                inst.update(t + off for t in positions[i:j])
+    inst.update(o for o in extra if lo < o <= hi)
+    if inst:
+        inst.difference_update(positions[start:stop])
     return sorted(inst)
+
+
+BLOCK = 512  # trace elements per block of the runner's backward walk
 
 
 def run_pipeline(
@@ -574,10 +638,29 @@ def run_pipeline(
     )
     positions = word.timestamps
     first, last = positions[0], positions[-1]
-    position_set = set(positions) if lazy_mode and len(positions) <= last - first else None
+    gapped = len(positions) <= last - first
     anchor_instant = 0 if anchor == ANCHOR_ZERO else first
-    inboxes: dict[int, list[int]] = {}
+    tails = tail_values(table)
+    specs = {
+        table.id_of[node]: _reducer_spec(node, table, last, tails)
+        for node in table.nodes
+        if not isinstance(node, (Atom, Act))
+    }
+    # every parent is strictly taller than its children, so in this order
+    # each key's block inbox is complete when taken
+    order = sorted(specs, key=lambda i: (table.height_of[i], i))
+    rows = {kid: ReducerStats(specs[kid][2]["key_text"], 0, 0, 0, 0, 0.0) for kid in order}
+    states = {kid: WindowState() for kid in order if specs[kid][0] == "window"}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
+    root_id = table.root_id
+    root_outputs: Optional[list[int]] = None
+    # the current block's inboxes and its sanctioned marker records, the
+    # latter by offset set, since keys share offset sets; each set's
+    # markers are dropped once the last key in the order that has it took
+    # them
+    inboxes: dict[int, list[int]] = {}
+    block_markers: dict[frozenset[int], list[int]] = {}
+    last_taker = {offsets[kid]: kid for kid in order}
 
     # Records move between keys only through these helpers, so no local
     # name keeps a consumed inbox or a routed output alive while the next
@@ -585,60 +668,58 @@ def run_pipeline(
     def route(key_id: int, records: list[int]) -> None:
         for parent_id in table.parent_ids[key_id]:
             inboxes.setdefault(parent_id, []).extend(records)
-        if streams is not None:
-            streams[key_id] = records
 
-    def take(key_id: int) -> tuple[list[int], int]:
-        """A key's inbox plus, in lazy mode, its sanctioned markers, and
-        the number of markers planted."""
+    def take(key_id: int, start: int, stop: int) -> tuple[list[int], int]:
+        """A key's block inbox plus, in lazy mode, its sanctioned markers
+        in the block, and the number of markers planted."""
         records = inboxes.pop(key_id, [])
         if not lazy_mode:
             return records, 0
-        extra = offsets[key_id] if anchor == ANCHOR_ZERO else ()
-        instants = _seed_instants(word, position_set, offsets[key_id], extra)
-        records += [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
-        return records, len(instants)
+        offs = offsets[key_id]
+        markers = block_markers.get(offs)
+        if markers is None:
+            extra = offs if anchor == ANCHOR_ZERO else ()
+            instants = _seed_instants(positions, start, stop, offs, extra, gapped)
+            markers = block_markers[offs] = [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
+        if last_taker[offs] == key_id:
+            del block_markers[offs]
+        records += markers
+        return records, len(markers)
 
-    # read step: atom records, routed to each atom's superformula keys
-    per_atom = atom_records(word, table)
-    while per_atom:
-        route(*per_atom.popitem())
-
-    tails = tail_values(table)
-    specs = {
-        table.id_of[node]: _reducer_spec(node, table, last, tails)
-        for node in table.nodes
-        if not isinstance(node, (Atom, Act))
-    }
-    reducer_rows: list[ReducerStats] = []
-    root_id = table.root_id
-    root_outputs: Optional[list[int]] = None
-    total_height = table.height
-
-    def reduce_key(kid: int) -> None:
+    def reduce_key(kid: int, start: int, stop: int) -> None:
         nonlocal root_outputs
-        records, markers = take(kid)
-        outputs, peak, records_in, elapsed_ms = _reduce_one(kid, table, specs[kid], records)
-        del records  # the consumed inbox, dropped before the outputs are routed
-        reducer_rows.append(
-            ReducerStats(
-                reducer_key=to_text(table.node(kid)),
-                peak_win=peak,
-                records_in=records_in,
-                markers=markers,
-                records_out=len(outputs),
-                iteration_ms=elapsed_ms,
-            )
+        records, markers = take(kid, start, stop)
+        outputs, peak, records_in, elapsed_ms = _reduce_one(
+            kid, table, specs[kid], records, states.get(kid)
         )
+        del records  # the consumed inbox, dropped before the outputs are routed
+        row = rows[kid]
+        row.peak_win = max(row.peak_win, peak)
+        row.records_in += records_in
+        row.markers += markers
+        row.records_out += len(outputs)
+        row.iteration_ms += elapsed_ms
         route(kid, outputs)
-        if kid == root_id:
+        if streams is not None:
+            streams.setdefault(kid, []).extend(outputs)
+        if kid == root_id and not start:  # the anchor lies in the first block
             root_outputs = outputs
 
-    # one key at a time, shorter keys first: every parent is strictly
-    # taller than its children, so each inbox is complete when taken
-    for kid in sorted(specs, key=lambda i: (table.height_of[i], i)):
-        reduce_key(kid)
+    # Walk the trace backward in blocks of elements.  A block's instants
+    # lie between its elements' timestamps and the previous element's, and
+    # every record at them is made within the block; instants later than
+    # the block reach it only through the window states.
+    for stop in range(len(positions), 0, -BLOCK):
+        start = max(stop - BLOCK, 0)
+        per_atom = atom_records(word, table, start, stop)
+        while per_atom:
+            route(*per_atom.popitem())
+        for kid in order:
+            reduce_key(kid, start, stop)
+    if streams is not None:
+        streams.update(atom_records(word, table))
 
+    total_height = table.height
     if total_height == 1:
         root_atom = table.root
         assert isinstance(root_atom, Atom)
@@ -659,6 +740,7 @@ def run_pipeline(
                 f"no verdict record at anchor instant {anchor_instant}"
             )
 
+    reducer_rows = list(rows.values())
     peak_global = max((row.peak_win for row in reducer_rows), default=0)
     stats = RunStats(
         verdict=verdict_value,

@@ -1,6 +1,8 @@
 """Pipeline operators and the runner."""
 
+import io
 import random
+import tracemalloc
 from collections import defaultdict
 from unittest import mock
 
@@ -39,9 +41,10 @@ from mtlcheck.formula import (
     to_text,
 )
 from mtlcheck.semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
-from mtlcheck.trace import TraceError, word
+from mtlcheck.trace import GeneratorConfig, TraceError, generate_trace, parse_trace_lines, word
 from mtlcheck.transforms import lazy_translation, max_bounded_upper
 from oracles import (
+    ShownWord,
     check_dup,
     formulas,
     intervals,
@@ -408,6 +411,25 @@ class TestFusedReducers:
         assert got == "conflicting duplicate records for k at instant 5"
 
 
+class TestWindowState:
+    def test_blocks_resume_one_pass_with_bounded_slack(self):
+        # one position record per instant under F[0,999], six in seven of
+        # them witnesses: about 857 live entries once the window is full,
+        # so the eighth of them outweighs COMPACT_AFTER
+        records = [pack_record(t, LEFT, t % 7 != 0, True, False) for t in range(6000, 0, -1)]
+        iv = Interval(0, 999)
+        whole, whole_peak = reduce_window(records, LEFT, iv, KEY)
+        state = engine.WindowState()
+        outputs = []
+        for i in range(0, len(records), 50):
+            block, peak = reduce_window(records[i:i + 50], LEFT, iv, KEY, state=state)
+            outputs += block
+            live = len(state.win) - state.head
+            assert len(state.win) <= live + max(engine.COMPACT_AFTER, peak // 8)
+        assert (outputs, peak) == (whole, whole_peak)
+        assert peak // 8 > engine.COMPACT_AFTER
+
+
 class TestReducers:
     def _window_run(self, formula_text, w):
         f = parse_formula(formula_text)
@@ -702,3 +724,65 @@ class TestAgainstTheEvaluators:
             for r in res.streams[res.table.id_of[node]]:
                 want = eval_lazy(w, record_tau(r), res.guard_map[node])
                 assert want == record_truth(r)
+
+
+def _shown(res):
+    """What a run shows: verdict, streams and stats without timings."""
+    rows = [(row.reducer_key, row.peak_win, row.records_in, row.markers, row.records_out)
+            for row in res.stats.reducers]
+    return res.verdict, res.streams, res.stats.peak_win_records, res.stats.iterations, rows
+
+
+class TestBlocks:
+    """The runner walks the trace backward in blocks of ``engine.BLOCK``
+    elements; the block size must change nothing a run shows."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_size_changes_nothing(self, data):
+        mode = data.draw(st.sampled_from([POINT, ANCHOR_FIRST, ANCHOR_ZERO]))
+        f = data.draw(formulas(max_depth=3, max_bound=8, allow_unbounded=mode == POINT))
+        w = data.draw(words(max_len=9, max_timestamp=24))
+        if data.draw(st.booleans(), label="contiguous"):
+            w = ShownWord(range(1, len(w) + 1), {a: w.column(a) for a in w.atoms})
+        kwargs = {}
+        if mode != POINT:
+            k = data.draw(st.integers(min_value=1, max_value=5), label="k")
+            kwargs = dict(semantics=LAZY, window_budget=k, anchor=mode)
+        want = _shown(run_pipeline(w, f, collect_streams=True, **kwargs))
+        block = data.draw(st.sampled_from([1, 2, 3]), label="block")
+        with mock.patch.object(engine, "BLOCK", block):
+            assert _shown(run_pipeline(w, f, collect_streams=True, **kwargs)) == want
+
+
+def _pipeline_peak(n, budget):
+    """The tracemalloc peak of one run_pipeline call over an n-element
+    unit-spaced trace, above the memory held when it starts (so the word
+    is excluded)."""
+    text = io.BytesIO()
+    generate_trace(GeneratorConfig(n=n, m=20, seed=1, force_p=True), text)
+    w = parse_trace_lines(text.getvalue().splitlines())
+    f = parse_formula("F[0,500] p")
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = run_pipeline(w, f, window_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert res.verdict is True
+    return peak
+
+
+class TestMemory:
+    @pytest.mark.parametrize("budget", [None, 250])
+    def test_pipeline_peak_does_not_grow_with_the_trace(self, budget):
+        # the smaller trace already spans two full blocks, so the larger
+        # one adds only more blocks of the same shape
+        small = _pipeline_peak(2 * engine.BLOCK, budget)
+        large = _pipeline_peak(20 * engine.BLOCK, budget)
+        assert large <= 1.25 * small, (small, large)
