@@ -31,6 +31,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .engine import EngineError, input_read, run_pipeline
@@ -45,7 +46,7 @@ from .semantics import (
     eval_point,
     eval_table,
 )
-from .trace import GeneratorConfig, TraceError, generate_trace, parse_trace
+from .trace import GeneratorConfig, TraceError, generate_trace, parse_trace, split_lines
 from .transforms import TransformError, decompose, lazy_translation
 
 BENCH_CSV_COLUMNS = (
@@ -73,13 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise _UsageError(message)
-
-
-def _read_trace_bytes(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def _checked_formula_for_oracle(formula, semantics: str, budget: Optional[int]):
@@ -112,7 +106,9 @@ def cmd_check(args: argparse.Namespace) -> int:
         return _fail(str(exc))
 
     try:
-        word, first_instant = input_read(_read_trace_bytes(args.trace).splitlines())
+        source = nullcontext(sys.stdin.buffer) if args.trace == "-" else open(args.trace, "rb")
+        with source as fh:
+            word, first_instant = input_read(split_lines(fh))
     except (TraceError, OSError) as exc:
         return _fail(str(exc))
 

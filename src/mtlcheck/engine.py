@@ -522,26 +522,17 @@ def _reducer_spec(node: Formula, table: FormulaTable, last: int, tails: dict[int
     if isinstance(node, Until):
         return ("window", (kids[1], node.interval),
                 dict(admit_any=False, buffer_truth=True, negate=False, cut_id=kids[0], **end))
-    if isinstance(node, Not):
-        ids = (kids[0],)
-        leafs = (table.height_of[kids[0]] == 1,)
-        return ("join", (ids, leafs, "not"), text)
-    if isinstance(node, (And, Or)):
-        left_id = table.id_of[node.left]
-        right_id = table.id_of[node.right]
-        ids = (left_id, right_id)
-        leafs = tuple(table.height_of[i] == 1 for i in ids)
-        return ("join", (ids, leafs, "and" if isinstance(node, And) else "or"), text)
+    if isinstance(node, (Not, And, Or)):
+        leafs = tuple(table.height_of[i] == 1 for i in kids)
+        op = "not" if isinstance(node, Not) else "and" if isinstance(node, And) else "or"
+        return ("join", (kids, leafs, op), text)
     raise EngineError(f"no reducer for node {node!r}")
 
 
-def _reduce_one(
-    node_id: int, table: FormulaTable, spec, records: list[int], state: Optional[WindowState] = None
-):
+def _reduce_one(node_id: int, spec, records: list[int], state: Optional[WindowState] = None):
     """Sort and reduce a key's records, or one block of them with the
     key's window ``state`` carried over; returns the outputs, the peak
-    buffer, the records taken in and the milliseconds spent.  The table is
-    not read: the spec holds what the reducer needs."""
+    buffer, the records taken in and the milliseconds spent."""
     start = time.perf_counter()
     records_in = len(records)
     shuffle_sort(records)
@@ -621,21 +612,15 @@ def run_pipeline(
 
     if window_budget is not None:
         run_root, guard_map = pipeline_formula(formula, window_budget)
+        table = analyze(run_root)
     else:
-        run_root = formula
-    table = analyze(run_root)
-    lazy_mode = window_budget is not None
-    if not lazy_mode:
+        table = analyze(formula)
         if any(isinstance(node, (ExactStep, Act)) for node in table.nodes):
             raise EngineError("point-mode input must not contain marker nodes")
         guard_map = {node: node for node in table.nodes}
     if table.size >= CHILD_MASK:
         raise EngineError("formula too large for the record encoding")
-    offsets = (
-        compute_offsets(table)
-        if lazy_mode
-        else {i: frozenset((0,)) for i in range(1, table.size + 1)}
-    )
+    offsets = compute_offsets(table)
     positions = word.timestamps
     first, last = positions[0], positions[-1]
     gapped = len(positions) <= last - first
@@ -670,11 +655,9 @@ def run_pipeline(
             inboxes.setdefault(parent_id, []).extend(records)
 
     def take(key_id: int, start: int, stop: int) -> tuple[list[int], int]:
-        """A key's block inbox plus, in lazy mode, its sanctioned markers
-        in the block, and the number of markers planted."""
+        """A key's block inbox plus its sanctioned markers in the block (none
+        in point mode, where every offset set is {0}), and their number."""
         records = inboxes.pop(key_id, [])
-        if not lazy_mode:
-            return records, 0
         offs = offsets[key_id]
         markers = block_markers.get(offs)
         if markers is None:
@@ -689,9 +672,7 @@ def run_pipeline(
     def reduce_key(kid: int, start: int, stop: int) -> None:
         nonlocal root_outputs
         records, markers = take(kid, start, stop)
-        outputs, peak, records_in, elapsed_ms = _reduce_one(
-            kid, table, specs[kid], records, states.get(kid)
-        )
+        outputs, peak, records_in, elapsed_ms = _reduce_one(kid, specs[kid], records, states.get(kid))
         del records  # the consumed inbox, dropped before the outputs are routed
         row = rows[kid]
         row.peak_win = max(row.peak_win, peak)

@@ -23,7 +23,9 @@ rejected by the parser; it only ever appears in machine-built formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class FormulaError(ValueError):
@@ -237,18 +239,12 @@ class ExactStep(Formula):
 
 def children(f: Formula) -> tuple[Formula, ...]:
     """Direct subformulas of a node, left to right."""
+    if isinstance(f, (Not, Eventually, Globally, ExactStep)):
+        return (f.child,)
+    if isinstance(f, (And, Or, Until)):
+        return (f.left, f.right)
     if isinstance(f, (Atom, Act)):
         return ()
-    if isinstance(f, Not):
-        return (f.child,)
-    if isinstance(f, (And, Or)):
-        return (f.left, f.right)
-    if isinstance(f, Until):
-        return (f.left, f.right)
-    if isinstance(f, (Eventually, Globally)):
-        return (f.child,)
-    if isinstance(f, ExactStep):
-        return (f.child,)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -259,6 +255,50 @@ def node_interval(f: Formula) -> Optional[Interval]:
     if isinstance(f, ExactStep):
         return singleton(f.step)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Tree walks: once per node object, with an explicit stack, so neither the
+# sharing (X's operand, operands between hops) nor the depth adds work.
+# ---------------------------------------------------------------------------
+
+def postorder(f: Formula) -> list[Formula]:
+    """Each node object of ``f`` once, children before their parents and
+    left before right."""
+    order: list[Formula] = []
+    seen = {id(f)}
+    stack = [(f, iter(children(f)))]
+    while stack:
+        node, kids = stack[-1]
+        for kid in kids:
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                stack.append((kid, iter(children(kid))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def fold(f: Formula, rule: Callable[[Formula, tuple], T]) -> T:
+    """The root's image, where ``rule(node, kid_images)`` gives each node
+    object's image, once, from the images of its children."""
+    image: dict[int, T] = {}
+    for node in postorder(f):
+        image[id(node)] = rule(node, tuple([image[id(kid)] for kid in children(node)]))
+    return image[id(f)]
+
+
+def with_children(node: Formula, kids: tuple[Formula, ...]) -> Formula:
+    """The node over new children; the node itself when they are its own."""
+    if all(new is old for new, old in zip(kids, children(node))):
+        return node
+    if isinstance(node, (Until, Eventually, Globally)):
+        return type(node)(node.interval, *kids)
+    if isinstance(node, ExactStep):
+        return ExactStep(node.step, *kids)
+    return type(node)(*kids)
 
 
 # ---------------------------------------------------------------------------
@@ -572,25 +612,23 @@ class FormulaTable:
 
 
 def analyze(root: Formula) -> FormulaTable:
-    """Build the structural index used by evaluators and the pipeline."""
+    """Build the structural index used by evaluators and the pipeline.  Nodes
+    are keyed by kind, name or interval and child ids: only new ones are hashed."""
     table = FormulaTable(root)
+    id_by_key: dict[tuple, int] = {}
 
-    def visit(f: Formula) -> int:
-        known = table.id_of.get(f)
-        if known is not None:
-            return known
-        kid_ids = tuple(visit(c) for c in children(f))
-        table.nodes.append(f)
-        node_id = len(table.nodes)
-        table.id_of[f] = node_id
-        table.child_ids[node_id] = kid_ids
-        if kid_ids:
-            table.height_of[node_id] = 1 + max(table.height_of[k] for k in kid_ids)
-        else:
-            table.height_of[node_id] = 1
+    def number(f: Formula, kid_ids: tuple[int, ...]) -> int:
+        key = (type(f), f.name if isinstance(f, Atom) else node_interval(f), kid_ids)
+        node_id = id_by_key.get(key)
+        if node_id is None:
+            table.nodes.append(f)
+            node_id = id_by_key[key] = len(table.nodes)
+            table.id_of[f] = node_id
+            table.child_ids[node_id] = kid_ids
+            table.height_of[node_id] = 1 + max((table.height_of[k] for k in kid_ids), default=0)
         return node_id
 
-    visit(root)
+    fold(root, number)
     parents: dict[int, set[int]] = {i: set() for i in range(1, len(table.nodes) + 1)}
     for pid, kids in table.child_ids.items():
         for kid in kids:

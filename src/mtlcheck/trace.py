@@ -3,8 +3,8 @@
 Trace files are line oriented text: each non-comment line is
 ``<timestamp> <atom> <atom> ...`` with ASCII decimal timestamps, any
 whitespace run as separator, and ``#`` starting a comment line.  Both
-``parse_trace`` and the command line split trace bytes with
-``bytes.splitlines``, so ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line,
+``parse_trace`` and the command line split trace bytes with ``split_lines``
+like ``bytes.splitlines``, so ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line,
 while ``\\x0c``, ``\\x85`` and ``\\u2028`` stay inside one and separate its
 tokens.  Timestamps must be strictly increasing and strictly positive.
 
@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from itertools import chain
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Mapping, Optional, Union
+from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Union
 
 
 class TraceError(ValueError):
@@ -171,9 +172,29 @@ def parse_trace_lines(lines: Iterable[Union[str, bytes]]) -> TimedWord:
     return TimedWord(timestamps, {atom: flags[:n] for atom, flags in columns.items()})
 
 
+def split_lines(stream: BinaryIO) -> Iterator[bytes]:
+    """A binary stream's lines as ``bytes.splitlines`` splits the whole, from
+    16 KiB blocks cut after their last ``\\n``, which always ends a line; a
+    ``readline`` per line made parsing measurably slower."""
+
+    def blocks() -> Iterator[list[bytes]]:
+        pending: list[bytes] = []
+        while block := stream.read(1 << 14):
+            cut = block.rfind(b"\n") + 1
+            if cut:
+                pending.append(block[:cut])
+                yield b"".join(pending).splitlines()
+                pending = [block[cut:]]
+            else:
+                pending.append(block)
+        yield b"".join(pending).splitlines()
+
+    return chain.from_iterable(blocks())
+
+
 def parse_trace(stream: BinaryIO) -> TimedWord:
     """Parse a byte stream of trace lines, split as the command line does."""
-    return parse_trace_lines(stream.read().splitlines())
+    return parse_trace_lines(split_lines(stream))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,23 @@
 """Formula rewrites that prepare point-semantics queries for lazy checking.
 
-``to_lazy_form`` (exposed as ``l2p``-style translation ``lazy_translation``)
-rewrites a plain formula so that its lazy value at a position's timestamp
-matches its point value at that position: temporal witnesses are required
-to coincide with trace positions by conjoining the position marker onto
-witness subformulas.
+Each rewrite is a rule over one bottom-up ``formula.fold``: it names only
+the node kinds it changes and leaves the others to ``with_children``, a
+shared node object is rewritten once, and nothing recurses.
+
+``lazy_translation`` rewrites a plain formula so that its lazy value at a
+position's timestamp matches its point value at that position: temporal
+witnesses are required to coincide with trace positions by conjoining the
+position marker onto witness subformulas.
 
 ``decompose`` splits every bounded window wider than ``k`` into a chain of
 exact ``k``-step hops around windows of width at most ``k``, preserving the
 lazy value at every instant.  The eventually case distinguishes three
 shapes (window already narrow; window reachable by whole hops; window that
 overhangs the last hop).  The globally case is the dual rewrite through
-negation.
+negation.  A decomposition of more than ``MAX_HOPS`` hops is refused
+before anything is built.
 
-The until case is handled by peeling one hop::
+The until case takes one hop at a time::
 
     l U<a,b> r  ==  l U<a,k] r                          (only if a <= k and <a,k] nonempty)
                     or ( all positions in (0,k] satisfy l
@@ -21,17 +25,18 @@ The until case is handled by peeling one hop::
 
 where T = <a-k, b-k> when a > k (original brackets) and T = (0, b-k>
 otherwise.  A witness at exactly k steps is matched by the first disjunct
-(whose upper end is closed), so the recursive tail only needs witnesses
-strictly beyond the hop; that is why T's lower end is open when a <= k.
-The "all positions" conjunct is expressed as a globally window over
-``position -> l`` so that non-position instants cannot violate it.  The
-rewrite is validated against the reference evaluators over randomized
-formulas and words.
+(whose upper end is closed), so the tail only needs witnesses strictly
+beyond the hop; that is why T's lower end is open when a <= k.  Hops
+repeat on ``l U T r`` until T is at most k wide.  The "all positions"
+conjunct is expressed as a globally window over ``position -> l`` so that
+non-position instants cannot violate it.  The rewrite is validated
+against the reference evaluators over randomized formulas and words.
 
 ``strip_position_guards`` removes the explicit position-marker guards the
-translation introduced and returns a mapping from each stripped node to
-its guarded counterpart; the pipeline engine re-imposes the guards as a
-record discipline and is compared against the guarded originals.
+translation introduced and returns a mapping from each node of the
+stripped formula to its guarded counterpart; the pipeline engine
+re-imposes the guards as a record discipline and is compared against the
+guarded originals.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from __future__ import annotations
 from .formula import (
     Act,
     And,
-    Atom,
     Eventually,
     ExactStep,
     Formula,
@@ -48,22 +52,20 @@ from .formula import (
     Not,
     Or,
     Until,
-    children,
+    fold,
     node_interval,
+    postorder,
+    with_children,
 )
+
+# The most hops a decomposition may take, ceil(upper / k) per window wider
+# than k.  A hop adds at most three keys (an until hop's exact step, And and
+# Or), so the hops' keys fit the engine's 21-bit key ids (CHILD_MASK).
+MAX_HOPS = ((1 << 21) - 1) // 3
 
 
 class TransformError(ValueError):
     """Raised when a rewrite's input precondition is violated."""
-
-
-def _check_plain(f: Formula) -> None:
-    if isinstance(f, (Act, ExactStep)):
-        raise TransformError(
-            "translation input must not contain position markers or exact-step nodes"
-        )
-    for child in children(f):
-        _check_plain(child)
 
 
 def _guard(f: Formula) -> Formula:
@@ -73,66 +75,49 @@ def _guard(f: Formula) -> Formula:
 def lazy_translation(f: Formula) -> Formula:
     """Rewrite so lazy evaluation at a position timestamp matches point
     evaluation at that position."""
-    _check_plain(f)
-    return _translate(f)
+    return fold(f, _translate)
 
 
-def _translate(f: Formula) -> Formula:
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(_translate(f.child))
-    if isinstance(f, And):
-        return And(_translate(f.left), _translate(f.right))
-    if isinstance(f, Or):
-        return Or(_translate(f.left), _translate(f.right))
+def _translate(f: Formula, kids: tuple[Formula, ...]) -> Formula:
+    if isinstance(f, (Act, ExactStep)):
+        raise TransformError(
+            "translation input must not contain position markers or exact-step nodes"
+        )
     if isinstance(f, Until):
-        return Until(f.interval, _translate(f.left), _guard(_translate(f.right)))
+        return Until(f.interval, kids[0], _guard(kids[1]))
     if isinstance(f, Eventually):
-        return Eventually(f.interval, _guard(_translate(f.child)))
+        return Eventually(f.interval, _guard(kids[0]))
     if isinstance(f, Globally):
         # all t': ... == not exists t' failing; witnesses must be positions.
-        return Not(Eventually(f.interval, _guard(Not(_translate(f.child)))))
-    raise TypeError(f"unknown formula node {f!r}")
+        return Not(Eventually(f.interval, _guard(Not(kids[0]))))
+    return with_children(f, kids)
+
+
+def _uppers(f: Formula) -> list[int]:
+    """The finite window upper bounds of the formula's node objects."""
+    intervals = (node_interval(node) for node in postorder(f))
+    return [i.upper for i in intervals if i is not None and i.upper is not None]
 
 
 def max_bounded_upper(f: Formula) -> int:
     """Largest finite window upper bound occurring anywhere in the formula."""
-    best = 0
-    interval = node_interval(f)
-    if interval is not None and interval.upper is not None:
-        best = interval.upper
-    for child in children(f):
-        best = max(best, max_bounded_upper(child))
-    return best
+    return max(_uppers(f), default=0)
 
 
 def split_zero_window(child: Formula, step: int, span: int, span_closed: bool) -> Formula:
     """Cover a window of the given span from the current instant with
     step-sized chunks chained by exact hops."""
-    if span <= step:
-        return Eventually(Interval(0, span, True, span_closed), child)
+    hops = max(span - 1, 0) // step
+    chain: Formula = Eventually(Interval(0, span - hops * step, True, span_closed), child)
     head = Eventually(Interval(0, step, True, True), child)
-    tail = ExactStep(step, split_zero_window(child, step, span - step, span_closed))
-    return Or(head, tail)
-
-
-def _exact_chain(depth: int, step: int, inner: Formula) -> Formula:
-    for _ in range(depth):
-        inner = ExactStep(step, inner)
-    return inner
-
-
-def _require_bounded(interval: Interval) -> None:
-    if interval.upper is None:
-        raise TransformError("window decomposition requires bounded intervals")
+    for _ in range(hops):
+        chain = Or(head, ExactStep(step, chain))
+    return chain
 
 
 def _decompose_eventually(interval: Interval, child: Formula, k: int) -> Formula:
-    _require_bounded(interval)
+    """The window ``interval`` (bounded, wider than k) as exact k-step hops."""
     a, b = interval.lower, interval.upper
-    if b <= k:
-        return Eventually(interval, child)
     hops = a // k
     remainder = a % k
     if b <= (hops + 1) * k:
@@ -140,38 +125,37 @@ def _decompose_eventually(interval: Interval, child: Formula, k: int) -> Formula
         # window reducers are what hold operands to position instants, so
         # collapsing it would let the step chain read the operand at
         # arbitrary instants
-        inner = Eventually(
+        inner: Formula = Eventually(
             Interval(remainder, b - hops * k, interval.lower_closed, interval.upper_closed),
             child,
         )
-        return _exact_chain(hops, k, inner)
-    head = Eventually(Interval(remainder, k, interval.lower_closed, True), child)
-    overhang = b - (hops + 1) * k
-    tail = ExactStep(k, split_zero_window(child, k, overhang, interval.upper_closed))
-    return _exact_chain(hops, k, Or(head, tail))
-
-
-def _position_guarded_all(interval: Interval, f: Formula) -> Formula:
-    return Globally(interval, Or(Not(Act()), f))
+    else:
+        head = Eventually(Interval(remainder, k, interval.lower_closed, True), child)
+        overhang = b - (hops + 1) * k
+        inner = Or(head, ExactStep(k, split_zero_window(child, k, overhang, interval.upper_closed)))
+    for _ in range(hops):
+        inner = ExactStep(k, inner)
+    return inner
 
 
 def _decompose_until(interval: Interval, left: Formula, right: Formula, k: int) -> Formula:
-    _require_bounded(interval)
-    a, b = interval.lower, interval.upper
-    if b <= k:
-        return Until(interval, left, right)
-    if a > k:
-        tail_interval = Interval(a - k, b - k, interval.lower_closed, interval.upper_closed)
-    else:
-        tail_interval = Interval(0, b - k, False, interval.upper_closed)
-    tail = And(
-        _position_guarded_all(Interval(0, k, False, True), left),
-        ExactStep(k, _decompose_until(tail_interval, left, right, k)),
-    )
-    if a > k or (a == k and not interval.lower_closed):
-        return tail
-    head = Until(Interval(a, k, interval.lower_closed, True), left, right)
-    return Or(head, tail)
+    """The until window ``interval`` (bounded, wider than k) as k-step hops."""
+    hops: list[Interval] = []
+    while interval.upper > k:
+        hops.append(interval)
+        a, b = interval.lower, interval.upper
+        if a > k:
+            interval = Interval(a - k, b - k, interval.lower_closed, interval.upper_closed)
+        else:
+            interval = Interval(0, b - k, False, interval.upper_closed)
+    chain: Formula = Until(interval, left, right)
+    # all positions in (0,k] satisfy l; non-positions cannot violate it
+    all_left = Globally(Interval(0, k, False, True), Or(Not(Act()), left))
+    for hop in reversed(hops):
+        chain = And(all_left, ExactStep(k, chain))
+        if hop.lower < k or (hop.lower == k and hop.lower_closed):
+            chain = Or(Until(Interval(hop.lower, k, hop.lower_closed, True), left, right), chain)
+    return chain
 
 
 def decompose(f: Formula, k: int) -> Formula:
@@ -181,30 +165,25 @@ def decompose(f: Formula, k: int) -> Formula:
     """
     if k < 1:
         raise TransformError("window budget must be at least 1")
-    if isinstance(f, (Atom, Act)):
-        return f
-    if isinstance(f, Not):
-        return Not(decompose(f.child, k))
-    if isinstance(f, And):
-        return And(decompose(f.left, k), decompose(f.right, k))
-    if isinstance(f, Or):
-        return Or(decompose(f.left, k), decompose(f.right, k))
-    if isinstance(f, Eventually):
-        return _decompose_eventually(f.interval, decompose(f.child, k), k)
-    if isinstance(f, Globally):
-        _require_bounded(f.interval)
-        if f.interval.upper <= k:
-            return Globally(f.interval, decompose(f.child, k))
-        return Not(_decompose_eventually(f.interval, Not(decompose(f.child, k)), k))
-    if isinstance(f, Until):
-        return _decompose_until(f.interval, decompose(f.left, k), decompose(f.right, k), k)
-    if isinstance(f, ExactStep):
-        if f.step <= k:
-            return ExactStep(f.step, decompose(f.child, k))
-        return _decompose_eventually(
-            Interval(f.step, f.step, True, True), decompose(f.child, k), k
+    hops = sum(-(-upper // k) for upper in _uppers(f) if upper > k)  # ceil(upper / k)
+    if hops > MAX_HOPS:
+        raise TransformError(
+            f"window decomposition needs {hops} hops at budget {k}, over the limit of {MAX_HOPS}"
         )
-    raise TypeError(f"unknown formula node {f!r}")
+
+    def split(node: Formula, kids: tuple[Formula, ...]) -> Formula:
+        interval = node_interval(node)
+        if interval is not None and interval.upper is None:
+            raise TransformError("window decomposition requires bounded intervals")
+        if interval is None or interval.upper <= k:
+            return with_children(node, kids)
+        if isinstance(node, Until):
+            return _decompose_until(interval, *kids, k)
+        if isinstance(node, Globally):
+            return Not(_decompose_eventually(interval, Not(kids[0]), k))
+        return _decompose_eventually(interval, kids[0], k)  # Eventually, ExactStep
+
+    return fold(f, split)
 
 
 def strip_position_guards(f: Formula) -> tuple[Formula, dict[Formula, Formula]]:
@@ -215,39 +194,23 @@ def strip_position_guards(f: Formula) -> tuple[Formula, dict[Formula, Formula]]:
     discipline stands in for the removed guards and its output streams are
     checked against lazy evaluation of the guarded originals.
     """
-    mapping: dict[Formula, Formula] = {}
+    origin: dict[int, Formula] = {}  # id of a stripped node -> its guarded node
 
-    def strip(node: Formula) -> Formula:
-        if isinstance(node, And) and isinstance(node.left, Act):
-            return strip(node.right)
-        if (
-            isinstance(node, Or)
-            and isinstance(node.left, Not)
-            and isinstance(node.left.child, Act)
+    def strip(node: Formula, kids: tuple[Formula, ...]) -> Formula:
+        if isinstance(node, And) and isinstance(node.left, Act) or (
+            isinstance(node, Or) and isinstance(node.left, Not) and isinstance(node.left.child, Act)
         ):
-            return strip(node.right)
-        if isinstance(node, (Atom, Act)):
-            stripped: Formula = node
-        elif isinstance(node, Not):
-            stripped = Not(strip(node.child))
-        elif isinstance(node, And):
-            stripped = And(strip(node.left), strip(node.right))
-        elif isinstance(node, Or):
-            stripped = Or(strip(node.left), strip(node.right))
-        elif isinstance(node, Until):
-            stripped = Until(node.interval, strip(node.left), strip(node.right))
-        elif isinstance(node, Eventually):
-            stripped = Eventually(node.interval, strip(node.child))
-        elif isinstance(node, Globally):
-            stripped = Globally(node.interval, strip(node.child))
-        elif isinstance(node, ExactStep):
-            stripped = ExactStep(node.step, strip(node.child))
-        else:
-            raise TypeError(f"unknown formula node {node!r}")
-        mapping.setdefault(stripped, node)
+            return kids[1]  # a guard, Act & r or !Act | r, stands for r
+        stripped = with_children(node, kids)
+        origin[id(stripped)] = node
         return stripped
 
-    return strip(f), mapping
+    stripped_root = fold(f, strip)
+    # only the result's nodes are mapped, not the guards' own Act and !Act
+    mapping: dict[Formula, Formula] = {}
+    for node in postorder(stripped_root):
+        mapping.setdefault(node, origin[id(node)])
+    return stripped_root, mapping
 
 
 def pipeline_formula(f: Formula, k: int) -> tuple[Formula, dict[Formula, Formula]]:

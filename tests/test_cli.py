@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import types
 from unittest import mock
 
@@ -66,6 +67,19 @@ class TestDecompose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: internal error: RecursionError")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["decompose", "check"])
+    def test_over_the_hop_limit_is_one_plain_error(self, capsys, tmp_path, command):
+        path = tmp_path / "t.txt"
+        path.write_text("1 p\n", encoding="utf-8")
+        argv = [command] + ([str(path)] if command == "check" else [])
+        started = time.perf_counter()
+        assert main(argv + ["-f", "G[0,100000000000] p", "--k", "1"]) == 2
+        assert time.perf_counter() - started < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: window decomposition needs 100000000000 hops")
         assert captured.err.count("\n") == 1
 
     def test_budget_must_be_positive(self, capsys):

@@ -626,7 +626,7 @@ def _mapper_route(w, formula, budget):
         if table.child_ids[table.id_of[node]]
     }
     for kid in sorted(specs, key=lambda i: table.height_of[i]):
-        outputs, _, _, _ = _reduce_one(kid, table, specs[kid], inbox.pop(kid, []))
+        outputs, _, _, _ = _reduce_one(kid, specs[kid], inbox.pop(kid, []))
         streams[kid] = outputs
         for rec in outputs:
             for key, out in map_step(kid, rec, table, offsets, last):

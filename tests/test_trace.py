@@ -15,6 +15,7 @@ from mtlcheck.trace import (
     generate_trace,
     parse_trace,
     parse_trace_lines,
+    split_lines,
     word,
 )
 from oracles import atoms_at, elements, naive_parse
@@ -155,6 +156,34 @@ class TestColumns:
         assert len(w) == 10_500
         assert held <= 1024 * 1024, f"the word holds {held / 2**20:.2f} MiB"
 
+    def test_parse_peak_stays_near_the_word(self, tmp_path):
+        # reading the whole file and splitting it peaked near 3x the word;
+        # streamed blocks leave the growing columns as the peak
+        path = tmp_path / "trace.txt"
+        with open(path, "wb") as fh:
+            generate_trace(GeneratorConfig(n=3_000, m=20, seed=1), fh)
+        with open(path, "rb") as fh:
+            tracemalloc.start()
+            try:
+                w = parse_trace(fh)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(w) == 3_000
+        assert peak <= 2.2 * held, f"parse peak {peak / held:.2f}x the word"
+
+
+class _Trickle:
+    """A byte stream whose reads return at most ``step`` bytes, so that
+    lines and ``\\r\\n`` pairs straddle reads."""
+
+    def __init__(self, data: bytes, step: int) -> None:
+        self.data, self.step = data, step
+
+    def read(self, n: int) -> bytes:
+        out, self.data = self.data[:min(n, self.step)], self.data[min(n, self.step):]
+        return out
+
 
 class TestLineBoundaries:
     """Lines are those of bytes.splitlines: \\x0c, \\x85 and \\u2028 stay
@@ -176,6 +205,14 @@ class TestLineBoundaries:
             parse_trace_lines(b"1 p\r1 q\n".splitlines())
         with pytest.raises(TraceError, match=r"^line 3: timestamp 'x' is not an integer$"):
             parse_trace_lines(b"1 p\r\n\rx q\n".splitlines())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary() | st.lists(st.sampled_from(
+        [b"\n", b"\r", b"\r\n", b"\x0c", b"\x85", b"\xe2\x80\xa8", b"1", b"p", b" "]
+    )).map(b"".join), st.integers(min_value=1, max_value=5))
+    def test_split_lines_equals_splitlines_of_the_whole(self, data, step):
+        assert list(split_lines(io.BytesIO(data))) == data.splitlines()
+        assert list(split_lines(_Trickle(data, step))) == data.splitlines()
 
     def test_parse_trace_splits_like_the_command_line(self):
         for data in (b"1 p\r2 q\n", b"1 p\r2 q\r\n3\x0c r\n", "1 p\x852 q\r".encode()):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,15 @@ from mtlcheck.formula import (
     Or,
     Until,
     children,
+    fold,
     minkowski_sum,
     overlap_union,
     parse_formula,
+    postorder,
     singleton,
     to_text,
 )
+from mtlcheck import engine, transforms
 from mtlcheck.semantics import eval_lazy, eval_point
 from mtlcheck.trace import word
 from mtlcheck.transforms import (
@@ -356,6 +360,7 @@ class TestGuardStripping:
         for node in _all_nodes(stripped):
             assert not isinstance(node, Act)
             assert node in mapping
+        assert set(mapping) == set(_all_nodes(stripped))
         assert max_bounded_upper(stripped) <= k
         assert mapping[stripped] == decompose(lazy_translation(f), k)
 
@@ -367,3 +372,48 @@ class TestGuardStripping:
         target = decompose(lazy_translation(f), k)
         for t in (0, w.timestamps[0]):
             assert eval_lazy(w, t, mapping[stripped]) == eval_lazy(w, t, target)
+
+
+class TestFold:
+    def test_rule_runs_once_per_node_object(self):
+        f = parse_formula("X[0,5] (F[0,3] p)")  # the parser shares F[0,3] p three times
+        calls = []
+
+        def rule(node, kids):
+            calls.append(node)
+            return 1 + sum(kids)
+
+        occurrences = fold(f, rule)
+        assert occurrences == len(list(_all_nodes(f)))
+        assert len(calls) == len(postorder(f)) < occurrences
+        assert len({id(node) for node in calls}) == len(calls)
+
+    @pytest.mark.parametrize("text", ["F[0,5000] p", "G[0,5000] q", "p U[0,5000] q"])
+    def test_deep_decompositions_need_no_recursion(self, text):
+        translated = lazy_translation(parse_formula(text))
+        decomposed = decompose(translated, 1)
+        assert max_bounded_upper(decomposed) == 1
+        assert len(postorder(decomposed)) > 5000
+        chain = split_zero_window(P, 1, 5000, True)
+        assert max_bounded_upper(chain) == 1
+
+
+class TestHopLimit:
+    def test_limit_fits_the_record_encoding(self):
+        # an until hop adds three keys: its exact step, conjunction and disjunction
+        assert 3 * transforms.MAX_HOPS <= engine.CHILD_MASK
+
+    def test_far_over_the_limit_is_refused_before_building(self):
+        started = time.perf_counter()
+        with pytest.raises(TransformError, match=r"needs 100000000000 hops at budget 1"):
+            decompose(lazy_translation(parse_formula("F[0,100000000000] p")), 1)
+        assert time.perf_counter() - started < 1.0
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(transforms, "MAX_HOPS", 10)
+        assert max_bounded_upper(decompose(parse_formula("F[0,10] p"), 1)) == 1
+        assert max_bounded_upper(decompose(parse_formula("F[0,12] p & G[0,8] q"), 2)) == 2
+        with pytest.raises(TransformError, match=r"needs 11 hops at budget 1, over the limit of 10"):
+            decompose(parse_formula("F[0,11] p"), 1)
+        with pytest.raises(TransformError, match=r"needs 11 hops at budget 3"):
+            decompose(parse_formula("p U[0,15] q | F=18 r"), 3)
