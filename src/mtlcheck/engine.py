@@ -93,7 +93,7 @@ from .formula import (
     analyze,
     convex_union_with_zero,
     node_interval,
-    to_text,
+    texts,
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
 from .trace import TimedWord, parse_trace_lines
@@ -505,13 +505,13 @@ class PipelineResult:
         return self.streams[self.table.id_of[f]]
 
 
-def _reducer_spec(node: Formula, table: FormulaTable, last: int, tails: dict[int, bool]):
+def _reducer_spec(node: Formula, table: FormulaTable, last: int, tails: dict[int, bool], key_text: str):
     """A key's reducer as ``(kind, args, kwargs)``: the reducer is called
-    as ``reduce_<kind>(records, *args, key_id, **kwargs)``.  The key's text,
-    for its stats row and error messages, is made here once."""
+    as ``reduce_<kind>(records, *args, key_id, **kwargs)``.  ``key_text``
+    is for the key's stats row and error messages."""
     node_id = table.id_of[node]
     kids = table.child_ids[node_id]
-    text = dict(key_text=to_text(node))
+    text = dict(key_text=key_text)
     end = dict(last=last, tail=tails[node_id], **text)
     if isinstance(node, Eventually):
         return ("window", (kids[0], node.interval), dict(admit_any=False, buffer_truth=True, negate=False, **end))
@@ -626,8 +626,9 @@ def run_pipeline(
     gapped = len(positions) <= last - first
     anchor_instant = 0 if anchor == ANCHOR_ZERO else first
     tails = tail_values(table)
+    key_texts = texts(table.root)  # every key's text from one walk
     specs = {
-        table.id_of[node]: _reducer_spec(node, table, last, tails)
+        table.id_of[node]: _reducer_spec(node, table, last, tails, key_texts[node])
         for node in table.nodes
         if not isinstance(node, (Atom, Act))
     }

@@ -22,6 +22,7 @@ rejected by the parser; it only ever appears in machine-built formulas.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar, Union
 
@@ -160,20 +161,43 @@ def without_zero(i: Interval) -> Interval:
 # Formula nodes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Formula:
-    """Base class for all formula nodes; nodes are immutable and hashable."""
+class _Interned(type):
+    """Hash-consing (Filliâtre and Conchon, "Type-safe modular hash-consing",
+    ML 2006): a node constructor returns the live node for its arguments
+    when there is one, so structurally equal nodes are one object.  Nodes
+    take positional arguments only, and the lookup is not locked: the
+    package builds nodes from one thread."""
+
+    def __call__(cls, *args):
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = _NODES[key] = super().__call__(*args)
+        return node
+
+
+_NODES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class Formula(metaclass=_Interned):
+    """Base class for all formula nodes.  Nodes are immutable and interned,
+    so node equality and hashing are identity: ``==`` is ``is``."""
+
+    __slots__ = ("__weakref__",)
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
+_node = dataclass(frozen=True, eq=False, slots=True)
+
+
+@_node
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Act(Formula):
     """Position-existence marker: true exactly where the trace has an element.
 
@@ -182,43 +206,43 @@ class Act(Formula):
     """
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Until(Formula):
     interval: Interval
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Eventually(Formula):
     interval: Interval
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Globally(Formula):
     interval: Interval
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class ExactStep(Formula):
     """F at exactly ``step`` time units ahead, as produced by decomposition.
 
@@ -258,21 +282,22 @@ def node_interval(f: Formula) -> Optional[Interval]:
 
 
 # ---------------------------------------------------------------------------
-# Tree walks: once per node object, with an explicit stack, so neither the
-# sharing (X's operand, operands between hops) nor the depth adds work.
+# Tree walks: once per node, with an explicit stack, so neither the sharing
+# (X's operand, operands between hops, any equal subtrees) nor the depth
+# adds work.
 # ---------------------------------------------------------------------------
 
 def postorder(f: Formula) -> list[Formula]:
-    """Each node object of ``f`` once, children before their parents and
-    left before right."""
+    """Each node of ``f`` once, children before their parents and left
+    before right."""
     order: list[Formula] = []
-    seen = {id(f)}
+    seen = {f}
     stack = [(f, iter(children(f)))]
     while stack:
         node, kids = stack[-1]
         for kid in kids:
-            if id(kid) not in seen:
-                seen.add(id(kid))
+            if kid not in seen:
+                seen.add(kid)
                 stack.append((kid, iter(children(kid))))
                 break
         else:
@@ -281,13 +306,18 @@ def postorder(f: Formula) -> list[Formula]:
     return order
 
 
-def fold(f: Formula, rule: Callable[[Formula, tuple], T]) -> T:
-    """The root's image, where ``rule(node, kid_images)`` gives each node
-    object's image, once, from the images of its children."""
-    image: dict[int, T] = {}
+def images(f: Formula, rule: Callable[[Formula, tuple], T]) -> dict[Formula, T]:
+    """Each node's image, where ``rule(node, kid_images)`` gives a node's
+    image, once, from the images of its children."""
+    image: dict[Formula, T] = {}
     for node in postorder(f):
-        image[id(node)] = rule(node, tuple([image[id(kid)] for kid in children(node)]))
-    return image[id(f)]
+        image[node] = rule(node, tuple([image[kid] for kid in children(node)]))
+    return image
+
+
+def fold(f: Formula, rule: Callable[[Formula, tuple], T]) -> T:
+    """The root's image under ``rule`` (see ``images``)."""
+    return images(f, rule)[f]
 
 
 def with_children(node: Formula, kids: tuple[Formula, ...]) -> Formula:
@@ -305,74 +335,53 @@ def with_children(node: Formula, kids: tuple[Formula, ...]) -> Formula:
 # Pretty printing
 # ---------------------------------------------------------------------------
 
-_LEVEL_OR = 2
-_LEVEL_AND = 3
-_LEVEL_UNTIL = 4
-_LEVEL_PREFIX = 5
+# binding strength and constructor of each binary operator, for parsing and
+# printing; '|' and '&' group to the left, '->' and 'U' to the right
+_BINARY = {
+    "->": (1, lambda interval, a, b: Or(Not(a), b)),  # a -> b sugars to !a | b
+    "|": (2, lambda interval, a, b: Or(a, b)),
+    "&": (3, lambda interval, a, b: And(a, b)),
+    "U": (4, Until),
+}
+_LEVEL_PREFIX = 5  # prefixes bind tighter than any binary operator
 _LEVEL_ATOM = 6
 
 
-def _level(f: Formula) -> int:
+def _wrap(kid: tuple[str, int], above: int) -> str:
+    """A child's text, parenthesized unless it binds tighter than ``above``."""
+    text, level = kid
+    return text if level > above else "(" + text + ")"
+
+
+def _render(f: Formula, kids: tuple[tuple[str, int], ...]) -> tuple[str, int]:
+    """A node's text and binding level from its children's."""
+    interval = node_interval(f)  # printed after the operator unless omitted
+    suffix = "" if interval is None or interval == FULL else str(interval)
     if isinstance(f, (Atom, Act)):
-        return _LEVEL_ATOM
-    if isinstance(f, (Not, Eventually, Globally, ExactStep)):
-        return _LEVEL_PREFIX
-    if isinstance(f, Until):
-        return _LEVEL_UNTIL
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Or):
-        return _LEVEL_OR
+        return f.name if isinstance(f, Atom) else "Act", _LEVEL_ATOM
+    if isinstance(f, Not):
+        return "!" + (kids[0][0] if isinstance(f.child, Not) else _wrap(kids[0], _LEVEL_PREFIX)), _LEVEL_PREFIX
+    if isinstance(f, (Eventually, Globally, ExactStep)):  # an exact step prints as F=K
+        op = "G" if isinstance(f, Globally) else "F"
+        return op + suffix + " " + _wrap(kids[0], _LEVEL_PREFIX), _LEVEL_PREFIX
+    if isinstance(f, Until):  # right associative
+        own = _BINARY["U"][0]
+        return f"{_wrap(kids[0], own)} U{suffix} {_wrap(kids[1], own - 1)}", own
+    if isinstance(f, (And, Or)):  # left associative
+        op = "&" if isinstance(f, And) else "|"
+        own = _BINARY[op][0]
+        return f"{_wrap(kids[0], own - 1)} {op} {_wrap(kids[1], own)}", own
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def _interval_suffix(i: Interval) -> str:
-    return "" if i == FULL else str(i)
-
-
-def _prefix_operand(f: Formula) -> str:
-    if isinstance(f, (Atom, Act)):
-        return " " + to_text(f)
-    return " (" + to_text(f) + ")"
 
 
 def to_text(f: Formula) -> str:
     """Render a formula in the input grammar (parseable unless it contains Act)."""
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Act):
-        return "Act"
-    if isinstance(f, Not):
-        if isinstance(f.child, (Atom, Act)):
-            return "!" + to_text(f.child)
-        if isinstance(f.child, Not):
-            return "!" + to_text(f.child)
-        return "!(" + to_text(f.child) + ")"
-    if isinstance(f, Eventually):
-        return "F" + _interval_suffix(f.interval) + _prefix_operand(f.child)
-    if isinstance(f, Globally):
-        return "G" + _interval_suffix(f.interval) + _prefix_operand(f.child)
-    if isinstance(f, ExactStep):
-        return f"F={f.step}" + _prefix_operand(f.child)
-    if isinstance(f, Until):
-        left = to_text(f.left)
-        if _level(f.left) <= _LEVEL_UNTIL:  # U is right associative
-            left = "(" + left + ")"
-        right = to_text(f.right)
-        if _level(f.right) < _LEVEL_UNTIL:
-            right = "(" + right + ")"
-        return f"{left} U{_interval_suffix(f.interval)} {right}"
-    if isinstance(f, (And, Or)):
-        own = _level(f)
-        op = "&" if isinstance(f, And) else "|"
-        left = to_text(f.left)
-        if _level(f.left) < own:
-            left = "(" + left + ")"
-        right = to_text(f.right)
-        if _level(f.right) <= own:  # left associative
-            right = "(" + right + ")"
-        return f"{left} {op} {right}"
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, _render)[0]
+
+
+def texts(f: Formula) -> dict[Formula, str]:
+    """The text of every node of ``f``, from one walk."""
+    return {node: image[0] for node, image in images(f, _render).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +396,6 @@ class _Lexer:
 
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
         self.tokens: list[tuple[str, str, int]] = []  # (kind, value, offset)
         self._scan()
         self.index = 0
@@ -501,32 +509,21 @@ def _maybe_interval(lx: _Lexer) -> Interval:
     return FULL
 
 
-def _parse_unary(lx: _Lexer) -> Formula:
-    tok = lx.peek()
-    if tok[0] == "punct" and tok[1] == "!":
-        lx.next()
-        return Not(_parse_unary(lx))
-    if tok[0] == "ident" and tok[1] in ("F", "G", "X"):
-        lx.next()
-        interval = _maybe_interval(lx)
-        operand = _parse_unary(lx)
-        if tok[1] == "F":
-            return Eventually(interval, operand)
-        if tok[1] == "G":
-            return Globally(interval, operand)
-        # X_I f == bottom U_{I without 0} f; bottom spelled from the operand
-        return Until(without_zero(interval), And(operand, Not(operand)), operand)
-    if tok[0] == "punct" and tok[1] == "(":
-        lx.next()
-        inner = _parse_implies(lx)
-        lx.expect("punct", ")")
-        return inner
+_PREFIX = {
+    "!": lambda interval, a: Not(a),
+    "F": Eventually,
+    "G": Globally,
+    # X_I f == bottom U_{I without 0} f; bottom spelled from the operand
+    "X": lambda interval, a: Until(without_zero(interval), And(a, Not(a)), a),
+}
+
+
+def _atom(tok: tuple[str, str, int]) -> Formula:
     if tok[0] == "ident":
         if tok[1] == "Act":
             raise FormulaError(f"'Act' is reserved and cannot appear in input (position {tok[2]})")
         if tok[1] in _RESERVED:
             raise FormulaError(f"unexpected keyword {tok[1]!r} at position {tok[2]}")
-        lx.next()
         return Atom(tok[1])
     raise FormulaError(
         f"expected a formula at position {tok[2]}, found {tok[1]!r}" if tok[1]
@@ -534,40 +531,60 @@ def _parse_unary(lx: _Lexer) -> Formula:
     )
 
 
-def _parse_until(lx: _Lexer) -> Formula:
-    left = _parse_unary(lx)
-    if lx.accept("ident", "U") is not None:
-        interval = _maybe_interval(lx)
-        right = _parse_until(lx)
-        return Until(interval, left, right)
-    return left
+def _reduce(operands: list[Formula], operators: list[tuple[str, Optional[Interval]]], above: int) -> None:
+    """Combine the pending operators that bind tighter than ``above``, or
+    as tightly when they group to the left."""
+    while operators:
+        op, interval = operators[-1]
+        binding, build = _BINARY[op]
+        if binding < above or binding == above and op in ("->", "U"):
+            return
+        operators.pop()
+        right = operands.pop()
+        operands[-1] = build(interval, operands[-1], right)
 
 
-def _parse_and(lx: _Lexer) -> Formula:
-    node = _parse_until(lx)
-    while lx.accept("punct", "&") is not None:
-        node = And(node, _parse_until(lx))
-    return node
-
-
-def _parse_or(lx: _Lexer) -> Formula:
-    node = _parse_and(lx)
-    while lx.accept("punct", "|") is not None:
-        node = Or(node, _parse_and(lx))
-    return node
-
-
-def _parse_implies(lx: _Lexer) -> Formula:
-    node = _parse_or(lx)
-    if lx.accept("punct", "->") is not None:
-        return Or(Not(node), _parse_implies(lx))
-    return node
+def _parse(lx: _Lexer) -> Formula:
+    """Operator precedence over explicit stacks, with one group per open
+    parenthesis, so neither prefix chains nor nesting recurse.  Prefixes
+    bind tightest and apply innermost first."""
+    groups: list[tuple[list, list, list]] = []  # the state each open group suspends
+    operands: list[Formula] = []
+    operators: list[tuple[str, Optional[Interval]]] = []
+    prefixes: list[tuple[str, Optional[Interval]]] = []
+    while True:
+        tok = lx.next()
+        if tok[1] in _PREFIX:
+            prefixes.append((tok[1], None if tok[1] == "!" else _maybe_interval(lx)))
+            continue
+        if tok[1] == "(":
+            groups.append((operands, operators, prefixes))
+            operands, operators, prefixes = [], [], []
+            continue
+        node = _atom(tok)
+        while True:
+            for op, interval in reversed(prefixes):
+                node = _PREFIX[op](interval, node)
+            operands.append(node)
+            tok = lx.peek()
+            if tok[1] in _BINARY:
+                lx.next()
+                _reduce(operands, operators, _BINARY[tok[1]][0])
+                operators.append((tok[1], _maybe_interval(lx) if tok[1] == "U" else None))
+                prefixes = []
+                break
+            _reduce(operands, operators, 0)
+            if not groups:
+                return operands[0]
+            lx.expect("punct", ")")
+            node = operands[0]
+            operands, operators, prefixes = groups.pop()
 
 
 def parse_formula(text: str) -> Formula:
     """Parse formula text into an AST; raises FormulaError with a position."""
     lx = _Lexer(text)
-    node = _parse_implies(lx)
+    node = _parse(lx)
     tok = lx.peek()
     if tok[0] != "end":
         raise FormulaError(f"trailing input at position {tok[2]}: {tok[1]!r}")
@@ -582,9 +599,10 @@ def parse_formula(text: str) -> Formula:
 class FormulaTable:
     """Structural index of a formula: one id per distinct subformula.
 
-    Structurally equal subtrees share an id, so the pipeline evaluates each
-    distinct subformula once.  Heights: atoms (and Act) are 1, every other
-    node is one more than its tallest direct subformula.
+    Structurally equal subtrees are one interned node with one id, so the
+    pipeline evaluates each distinct subformula once.  Heights: atoms (and
+    Act) are 1, every other node is one more than its tallest direct
+    subformula.
     """
 
     root: Formula
@@ -612,23 +630,14 @@ class FormulaTable:
 
 
 def analyze(root: Formula) -> FormulaTable:
-    """Build the structural index used by evaluators and the pipeline.  Nodes
-    are keyed by kind, name or interval and child ids: only new ones are hashed."""
+    """Build the structural index used by evaluators and the pipeline.
+    Nodes are interned, so each node of the root is a distinct subformula."""
     table = FormulaTable(root)
-    id_by_key: dict[tuple, int] = {}
-
-    def number(f: Formula, kid_ids: tuple[int, ...]) -> int:
-        key = (type(f), f.name if isinstance(f, Atom) else node_interval(f), kid_ids)
-        node_id = id_by_key.get(key)
-        if node_id is None:
-            table.nodes.append(f)
-            node_id = id_by_key[key] = len(table.nodes)
-            table.id_of[f] = node_id
-            table.child_ids[node_id] = kid_ids
-            table.height_of[node_id] = 1 + max((table.height_of[k] for k in kid_ids), default=0)
-        return node_id
-
-    fold(root, number)
+    for f in postorder(root):
+        table.nodes.append(f)
+        node_id = table.id_of[f] = len(table.nodes)
+        kid_ids = table.child_ids[node_id] = tuple(table.id_of[kid] for kid in children(f))
+        table.height_of[node_id] = 1 + max((table.height_of[k] for k in kid_ids), default=0)
     parents: dict[int, set[int]] = {i: set() for i in range(1, len(table.nodes) + 1)}
     for pid, kids in table.child_ids.items():
         for kid in kids:

@@ -42,7 +42,7 @@ from .formula import (
     Until,
     analyze,
     node_interval,
-    to_text,
+    texts,
 )
 from .trace import TimedWord
 
@@ -74,19 +74,17 @@ class _PointEvaluator:
 
     def __init__(self, word: TimedWord) -> None:
         self.word = word
-        self.memo: dict[tuple[int, int], bool] = {}
-        self._keep: dict[int, Formula] = {}
+        self.memo: dict[tuple[Formula, int], bool] = {}
 
     def eval(self, f: Formula, i: int) -> bool:
         if not 0 <= i < len(self.word):
             raise EvaluationError(
                 f"position {i} out of range for a trace of length {len(self.word)}"
             )
-        key = (id(f), i)
+        key = (f, i)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        self._keep[id(f)] = f
         ts = self.word.timestamps
         if isinstance(f, Atom):
             value = self.word.column(f.name)[i] == 1
@@ -138,15 +136,13 @@ class _LazyEvaluator:
 
     def __init__(self, word: TimedWord) -> None:
         self.word = word
-        self.memo: dict[tuple[int, int], bool] = {}
-        self._keep: dict[int, Formula] = {}
+        self.memo: dict[tuple[Formula, int], bool] = {}
 
     def eval(self, f: Formula, t: int) -> bool:
-        key = (id(f), t)
+        key = (f, t)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        self._keep[id(f)] = f
         if isinstance(f, Atom):
             i = self.word.index_of(t)
             value = i is not None and self.word.column(f.name)[i] == 1
@@ -226,14 +222,11 @@ class EvalTable:
 
     def to_tsv(self, stream: TextIO) -> None:
         stream.write("formula\t" + "\t".join(str(k) for k in self.keys) + "\n")
-        order = sorted(
-            self.table.nodes,
-            key=lambda n: (self.table.height_of[self.table.id_of[n]], self.table.id_of[n]),
-        )
-        for node in order:
-            row = self.rows[self.table.id_of[node]]
-            cells = [TRUE_CELL if row[k] else FALSE_CELL for k in self.keys]
-            stream.write(to_text(node) + "\t" + "\t".join(cells) + "\n")
+        text = texts(self.table.root)  # every row's text from one walk
+        height = self.table.height_of
+        for node_id in sorted(self.rows, key=lambda i: (height[i], i)):
+            cells = [TRUE_CELL if self.rows[node_id][k] else FALSE_CELL for k in self.keys]
+            stream.write(text[self.table.node(node_id)] + "\t" + "\t".join(cells) + "\n")
 
     def tsv_text(self) -> str:
         buf = io.StringIO()
@@ -259,8 +252,7 @@ def eval_table(word: TimedWord, formula: Formula, semantics: str) -> EvalTable:
     else:
         raise ValueError(f"unknown semantics {semantics!r}")
     rows: dict[int, dict[int, bool]] = {}
-    for node in table.nodes:
-        node_id = table.id_of[node]
+    for node_id, node in enumerate(table.nodes, start=1):
         rows[node_id] = {k: evaluator.eval(node, k) for k in keys}
     return EvalTable(word=word, table=table, semantics=semantics, keys=keys, rows=rows)
 

@@ -194,7 +194,7 @@ def strip_position_guards(f: Formula) -> tuple[Formula, dict[Formula, Formula]]:
     discipline stands in for the removed guards and its output streams are
     checked against lazy evaluation of the guarded originals.
     """
-    origin: dict[int, Formula] = {}  # id of a stripped node -> its guarded node
+    origin: dict[Formula, Formula] = {}  # a stripped node -> its guarded node
 
     def strip(node: Formula, kids: tuple[Formula, ...]) -> Formula:
         if isinstance(node, And) and isinstance(node.left, Act) or (
@@ -202,15 +202,12 @@ def strip_position_guards(f: Formula) -> tuple[Formula, dict[Formula, Formula]]:
         ):
             return kids[1]  # a guard, Act & r or !Act | r, stands for r
         stripped = with_children(node, kids)
-        origin[id(stripped)] = node
+        origin.setdefault(stripped, node)
         return stripped
 
     stripped_root = fold(f, strip)
     # only the result's nodes are mapped, not the guards' own Act and !Act
-    mapping: dict[Formula, Formula] = {}
-    for node in postorder(stripped_root):
-        mapping.setdefault(node, origin[id(node)])
-    return stripped_root, mapping
+    return stripped_root, {node: origin[node] for node in postorder(stripped_root)}
 
 
 def pipeline_formula(f: Formula, k: int) -> tuple[Formula, dict[Formula, Formula]]:

@@ -17,8 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlcheck
+from mtlcheck import cli
 from mtlcheck.cli import BENCH_CSV_COLUMNS, main
-from mtlcheck.formula import to_text
+from mtlcheck.formula import (
+    Eventually,
+    ExactStep,
+    fold,
+    parse_formula,
+    singleton,
+    to_text,
+    with_children,
+)
+from mtlcheck.transforms import decompose
 from oracles import elements, random_formula, words
 
 EXAMPLE_TRACE = "1 p\n2 p\n4\n6 p\n8 p\n9\n10\n"
@@ -62,12 +72,28 @@ class TestDecompose:
         assert main(["decompose", "-f", "F[2,inf) p", "--k", "4"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_internal_error_exit_2(self, capsys):
+    def test_internal_error_exit_2(self, capsys, monkeypatch):
+        def broken(formula, k):
+            raise RecursionError("maximum recursion depth exceeded\nwhile rewriting")
+
+        monkeypatch.setattr(cli, "decompose", broken)
         assert main(["decompose", "-f", "F[0,3000] p", "--k", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: internal error: RecursionError")
+        assert captured.err.startswith("error: internal error: RecursionError:")
         assert captured.err.count("\n") == 1
+
+    def test_deep_decomposition_prints_its_plan(self, capsys):
+        assert main(["decompose", "-f", "F[0,900] p", "--k", "1"]) == 0
+        text = capsys.readouterr().out
+
+        def as_window(node, kids):  # the grammar reads F=K as a singleton window
+            if isinstance(node, ExactStep):
+                return Eventually(singleton(node.step), *kids)
+            return with_children(node, kids)
+
+        assert parse_formula(text) is fold(decompose(parse_formula("F[0,900] p"), 1), as_window)
+        assert to_text(parse_formula(text)) + "\n" == text
 
     @pytest.mark.parametrize("command", ["decompose", "check"])
     def test_over_the_hop_limit_is_one_plain_error(self, capsys, tmp_path, command):
@@ -224,13 +250,30 @@ class TestCheck:
         assert captured.err.startswith("error:") and "is not an integer" in captured.err
         assert captured.err.count("\n") == 1
 
-    def test_internal_error_exit_2(self, capsys, trace_file):
-        deep = "!" * 5000 + "p"
-        assert main(["check", trace_file, "-f", deep]) == 2
+    def test_internal_error_exit_2(self, capsys, trace_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded\nwhile checking")
+
+        monkeypatch.setattr(cli, "run_pipeline", broken)
+        assert main(["check", trace_file, "-f", "F[0,3] p"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: internal error: RecursionError")
+        assert captured.err.startswith("error: internal error: RecursionError:")
         assert captured.err.count("\n") == 1
+
+    def test_deep_decomposition_checks(self, capsys, trace_file):
+        assert main(["check", trace_file, "-f", "F[0,2000] p"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["check", trace_file, "-f", "F[0,2000] p", "--k", "1"]) == 0
+        assert capsys.readouterr().out == plain == "VERDICT: true\n"
+
+    @pytest.mark.parametrize("depth,status", [(5000, 0), (5001, 1)])
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_deep_negation_chain_checks(self, capsys, trace_file, depth, status, grouped):
+        # p holds at the first element, so the verdict is the depth's parity
+        text = "(!" * depth + "p" + ")" * depth if grouped else "!" * depth + "p"
+        assert main(["check", trace_file, "-f", text]) == status
+        assert capsys.readouterr().out == f"VERDICT: {'true' if status == 0 else 'false'}\n"
 
     def test_missing_trace_file_exit_2(self, capsys, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "-f", "p"]) == 2

@@ -621,7 +621,7 @@ def _mapper_route(w, formula, budget):
                 inbox[key].append(out)
     tails = tail_values(table)
     specs = {
-        table.id_of[node]: _reducer_spec(node, table, last, tails)
+        table.id_of[node]: _reducer_spec(node, table, last, tails, to_text(node))
         for node in table.nodes
         if table.child_ids[table.id_of[node]]
     }

@@ -1,7 +1,10 @@
 """Formula AST, parser, printer, and the subformula table."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtlcheck.formula import (
     FULL,
@@ -23,7 +26,7 @@ from mtlcheck.formula import (
     singleton,
     to_text,
 )
-from oracles import formulas
+from oracles import formulas, random_formula
 
 
 class TestParsing:
@@ -149,3 +152,81 @@ class TestTable:
         assert node_interval(ExactStep(6, Atom("p"))) == singleton(6)
         assert node_interval(Atom("p")) is None
         assert node_interval(parse_formula("p & q")) is None
+
+
+def _occurrences(f):
+    """Every occurrence of every subformula of ``f``, shared or not, with
+    an explicit stack so chains thousands deep can be walked."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(children(node))
+
+
+def _distinct_subtrees(f) -> int:
+    """Distinct subtrees of ``f`` by structure: every occurrence is numbered
+    by its kind, label and children's numbers, children first."""
+    number: dict[tuple, int] = {}
+    done: list[int] = []
+    stack = [(f, False)]
+    while stack:
+        node, kids_done = stack.pop()
+        kids = children(node)
+        if not kids_done:
+            stack.append((node, True))
+            stack.extend((kid, False) for kid in reversed(kids))
+            continue
+        label = node.name if isinstance(node, Atom) else node_interval(node)
+        kid_numbers = tuple(done[len(done) - len(kids):])
+        del done[len(done) - len(kids):]
+        done.append(number.setdefault((type(node).__name__, label, kid_numbers), len(number)))
+    return len(number)
+
+
+# one chain link per code, each holding the chain once, so occurrences stay
+# as many as nodes; the side operands keep every link's text new
+_LINKS = (
+    lambda f: Not(f),
+    lambda f: Eventually(Interval(0, 2), f),
+    lambda f: Globally(Interval(1, 3, False, True), f),
+    lambda f: And(f, Atom("q")),
+    lambda f: Or(Atom("r"), f),
+    lambda f: Until(Interval(2, 5), f, Not(Atom("p"))),
+    lambda f: Until(Interval(0, 3, True, False), Atom("q"), f),
+)
+
+
+def _chain(codes):
+    f = Atom("p")
+    for code in codes:
+        f = _LINKS[code](f)
+    return f
+
+
+class TestInterning:
+    def _check(self, f, rebuilt):
+        assert rebuilt is f
+        assert parse_formula(to_text(f)) is f
+        assert analyze(f).size == _distinct_subtrees(f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32))
+    def test_random_formulas(self, seed):
+        f = random_formula(random.Random(seed), 6, 20)
+        self._check(f, random_formula(random.Random(seed), 6, 20))
+        assert analyze(f).size == len({to_text(n) for n in _occurrences(f)})
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32), st.integers(min_value=1000, max_value=4000))
+    def test_chains_thousands_deep(self, seed, depth):
+        # drawn as a seed, not a list, so a failure shrinks in a few steps
+        rng = random.Random(seed)
+        codes = [rng.randrange(len(_LINKS)) for _ in range(depth)]
+        self._check(_chain(codes), _chain(list(codes)))
+
+    def test_equal_nodes_are_one_object(self):
+        assert Atom("p") is Atom("p")
+        assert Until(Interval(0, 3), Atom("p"), Atom("q")) is parse_formula("p U[0,3] q")
+        assert {Not(Atom("p")): 1}[parse_formula("!p")] == 1
+        assert Atom("p") != Atom("q") and Atom("p") is not Act()

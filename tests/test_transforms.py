@@ -397,6 +397,13 @@ class TestFold:
         chain = split_zero_window(P, 1, 5000, True)
         assert max_bounded_upper(chain) == 1
 
+    def test_until_hops_share_one_head(self):
+        # every hop after the first has the head (0,1], one interned node
+        plan = decompose(lazy_translation(parse_formula("p U[0,100] q")), 1)
+        heads = [node for node in postorder(plan) if isinstance(node, Until)]
+        assert sorted(to_text(h) for h in heads) == ["p U(0,1] (Act & q)", "p U[0,1] (Act & q)"]
+        assert len(postorder(plan)) == 3 * 100 + 6  # an exact step, And and Or per hop
+
 
 class TestHopLimit:
     def test_limit_fits_the_record_encoding(self):
