@@ -57,32 +57,34 @@ block of each key's inputs and outputs, whatever the trace's length; a
 key's ``--stats`` row sums its counts and times over the blocks, and
 ``iterations`` is still the formula's height.
 
-Markers go only to gaps between positions up to the last one: past it no
-position lies, so every key is constant (``tail_values``) and a window
-key reads an instant whose window lies wholly there from its tail value.
-Contiguous timestamps thus need no markers (bar zero-anchor instants
-before the first), and no key emits a record past the last element.
-``--stats`` reports the markers planted for each key.  Planting
-markers per key instead of record by record through a mapper changes no
-output: the mapper's sanctioned instants are exactly the position set
-shifted by the key's offsets, and the markers it would add beyond those
-(repeats, markers at position instants and unsanctioned ones) are ones
-the reducers ignore.  The test suite pins this against a record-by-record
-mapper oracle.
+Markers go only to gaps between positions up to the last one, and no key
+emits a record past the last element: the decomposition puts every exact
+step over an eventually or until chain, which is false where no position
+lies, and that is what a step reads when it finds no record.  Contiguous
+timestamps thus need no markers (bar zero-anchor instants before the
+first).  Offsets are clipped at the trace's horizon (the last element's
+distance from the anchor), since a larger one would only point past the
+last element; a plan thousands of hops deep over a short trace thus keeps
+few offsets per key.  ``--stats`` reports the markers planted for each
+key.  Planting markers per key instead of record by record through a
+mapper changes no output: the mapper's sanctioned instants are exactly
+the position set shifted by the key's offsets, and the markers it would
+add beyond those (repeats, markers at position instants and unsanctioned
+ones) are ones the reducers ignore.  The test suite pins this against a
+record-by-record mapper oracle.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .formula import (
     Act,
     And,
     Atom,
-    Eventually,
     ExactStep,
     Formula,
     FormulaTable,
@@ -93,7 +95,7 @@ from .formula import (
     analyze,
     convex_union_with_zero,
     node_interval,
-    texts,
+    to_text,
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
 from .trace import TimedWord, parse_trace_lines
@@ -164,47 +166,34 @@ def input_read(lines: Iterable[Union[str, bytes]]) -> tuple[TimedWord, int]:
     return word, word.timestamps[0]
 
 
-def compute_offsets(table: FormulaTable) -> dict[int, frozenset[int]]:
+def compute_offsets(table: FormulaTable, horizon: int) -> dict[int, frozenset[int]]:
     """Virtual-instant offsets per key: the shifts (relative to position
-    timestamps) at which each key's value is needed by its superformulas.
+    timestamps) at which each key's value is needed by its superformulas,
+    up to ``horizon``, the largest shift that still lands on or before the
+    last element from the earliest instant a value is needed at.
 
     Exact-step parents push their offsets forward by their step; boolean
     parents pass offsets through; window parents need only position
     instants from their operands.  Processing in decreasing height order
     is sound because every parent is strictly taller than its children.
+    Offsets only grow along a chain, so clipping each step clips the
+    result, and a deep chain over a short trace keeps few offsets.  Keys
+    with equal offsets mostly share one set.
     """
-    working: dict[int, set[int]] = {i: {0} for i in range(1, table.size + 1)}
-    order = sorted(range(1, table.size + 1), key=lambda i: -table.height_of[i])
-    for node_id in order:
+    offsets = dict.fromkeys(range(1, table.size + 1), frozenset({0}))
+    for node_id in sorted(offsets, key=lambda i: -table.height_of[i]):
         node = table.node(node_id)
         if isinstance(node, ExactStep):
-            contribution = {o + node.step for o in working[node_id]}
+            reach = horizon - node.step  # the largest offset that stays in the horizon
+            contribution = frozenset([o + node.step for o in offsets[node_id] if o <= reach])
         elif isinstance(node, (Not, And, Or)):
-            contribution = set(working[node_id])
+            contribution = offsets[node_id]
         else:
-            contribution = set()
-        if contribution:
-            for child in table.child_ids[node_id]:
-                working[child] |= contribution
-    return {i: frozenset(s) for i, s in working.items()}
-
-
-def tail_values(table: FormulaTable) -> dict[int, bool]:
-    """Each key's value past the last element, where no position lies:
-    atoms, eventually and until read false, globally true, and the other
-    keys follow their operands.  Ids list children first."""
-    tails: dict[int, bool] = {}
-    for node_id, node in enumerate(table.nodes, start=1):
-        kids = [tails[c] for c in table.child_ids[node_id]]
-        if isinstance(node, Not):
-            tails[node_id] = not kids[0]
-        elif isinstance(node, And):
-            tails[node_id] = all(kids)
-        elif isinstance(node, (Or, ExactStep)):
-            tails[node_id] = any(kids)
-        else:
-            tails[node_id] = isinstance(node, Globally)
-    return tails
+            continue
+        for child in table.child_ids[node_id]:
+            if not contribution <= offsets[child]:
+                offsets[child] |= contribution
+    return offsets
 
 
 def shuffle_sort(records: list[int]) -> list[int]:
@@ -249,8 +238,8 @@ def _closed_bounds(interval) -> tuple[int, Optional[int]]:
     return lo, interval.upper if interval.upper_closed else interval.upper - 1
 
 
-def _conflict(key_text: str, tau: int) -> EngineError:
-    return EngineError(f"conflicting duplicate records for {key_text} at instant {tau}")
+def _conflict(key, tau: int) -> EngineError:
+    return EngineError(f"conflicting duplicate records for {key} at instant {tau}")
 
 
 def reduce_window(
@@ -260,26 +249,24 @@ def reduce_window(
     out_key: int,
     *,
     admit_any: bool = False,
-    buffer_truth: bool = True,
-    negate: bool = False,
+    universal: bool = False,
     cut_id: Optional[int] = None,
-    last: Optional[int] = None,
-    tail: bool = False,
-    key_text: str = "?",
+    key: object = "?",
     state: Optional[WindowState] = None,
 ) -> tuple[list[int], int]:
     """Sliding-window reducer for eventually / globally / exact-step / until
     keys.
 
     Buffers the child records of the sought polarity (witnesses for
-    eventually and exact-step, violations for globally, right-operand
-    witnesses for until), keeps the buffer within the zero-widened interval
-    span, and answers each emission instant by probing the buffer against
-    the shifted interval.  Until is eventually over its right operand
-    (``F[I] r`` is ``true U[I] r``) except that a failing left operand cuts
-    off older witnesses: with ``cut_id`` set, a position record of that
-    child with truth false discards, after the instant is answered, every
-    buffered witness later than the instant.
+    eventually and exact-step, right-operand witnesses for until, and,
+    with ``universal`` set, violations for globally, whose value is then
+    true exactly when no violation is in range), keeps the buffer within
+    the zero-widened interval span, and answers each emission instant by
+    probing the buffer against the shifted interval.  Until is eventually
+    over its right operand (``F[I] r`` is ``true U[I] r``) except that a
+    failing left operand cuts off older witnesses: with ``cut_id`` set, a
+    position record of that child with truth false discards, after the
+    instant is answered, every buffered witness later than the instant.
 
     The buffer ``win[head:]`` holds instants in descending order.  ``head``
     evicts entries whose spread from the newest entry exceeds the span (or
@@ -288,9 +275,8 @@ def reduce_window(
     decrease.  A probe then reads the farthest live entry, ``win[far]``, so
     each is amortized O(1).  Evicted slots are dropped in bulk once they
     pass an eighth of the live ones (see ``COMPACT_AFTER``), so memory
-    stays proportional to the window, not to the stream.  With ``last``
-    set, an instant whose window lies wholly past ``last`` reads ``tail``,
-    the key's tail value, unprobed.
+    stays proportional to the window, not to the stream.  ``key`` names
+    the key in errors; it is formatted only when one is raised.
 
     With ``state`` given, the buffer and its heads are taken from it and
     left in it, so a key's stream can be reduced block by block, later
@@ -304,10 +290,9 @@ def reduce_window(
     sparse nested one.
     """
     lo, up = _closed_bounds(interval)
-    tail_after = float("inf") if last is None else last - lo
     span = _closed_bounds(convex_union_with_zero(interval))[1]
     sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
-    sel_want = (child_id << 3) | (TRUTH_FLAG if buffer_truth else 0) | (
+    sel_want = (child_id << 3) | (0 if universal else TRUTH_FLAG) | (
         0 if admit_any else POSITION_FLAG
     )
     # compared with the record under sel_mask, which keeps the position and
@@ -333,7 +318,7 @@ def reduce_window(
                 dup = r ^ prev
                 if dup < 8:  # same instant and child as the previous record
                     if dup & TRUTH_FLAG:
-                        raise _conflict(key_text, tau)
+                        raise _conflict(key, tau)
                 else:
                     prev = r
                     if r & POSITION_FLAG:
@@ -374,11 +359,7 @@ def reduce_window(
             if up is not None:
                 while far < end and win[far] - tau > up:
                     far += 1
-            val = far < end and win[far] - tau >= lo
-            if negate:
-                val = not val
-            if tau > tail_after:
-                val = tail
+            val = (far < end and win[far] - tau >= lo) != universal
             outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
         if cut:
             # a failing left operand at this position cuts continuity for
@@ -395,7 +376,7 @@ def reduce_join(
     operand_is_leaf: tuple[bool, ...],
     op: str,
     out_key: int,
-    key_text: str,
+    key: object,
 ) -> tuple[list[int], int]:
     """Boolean reducer: joins operand values instant by instant.
 
@@ -404,7 +385,8 @@ def reduce_join(
     simply reads false, since atoms only ever have records at positions.
     Instants without an emission trigger are skipped silently — shared
     operands may legitimately stream values at a superset of instants.
-    A negation's single operand fills both operand slots.
+    A negation's single operand fills both operand slots.  ``key`` names
+    the key in errors, as for ``reduce_window``.
     """
     left_bits = operand_ids[0] << 3
     right_bits = operand_ids[-1] << 3
@@ -429,7 +411,7 @@ def reduce_join(
                 dup = r ^ prev
                 if dup < 8:  # same instant and child as the previous record
                     if dup & TRUTH_FLAG:
-                        raise _conflict(key_text, tau)
+                        raise _conflict(key, tau)
                 else:
                     prev = r
                     if r & POSITION_FLAG:
@@ -451,7 +433,7 @@ def reduce_join(
         if not emit:
             continue
         if left is None or right is None:
-            raise EngineError(f"missing operand value for {key_text} at instant {tau}")
+            raise EngineError(f"missing operand value for {key} at instant {tau}")
         if negation:
             val = not left
         elif conjunction:
@@ -468,7 +450,7 @@ def reduce_join(
 
 @dataclass
 class ReducerStats:
-    reducer_key: str
+    reducer_key: Formula  # rendered as text only in the ``--stats`` envelope
     peak_win: int
     records_in: int
     markers: int
@@ -485,8 +467,10 @@ class RunStats:
     reducers: list[ReducerStats] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        """The ``--stats`` envelope: the fields above, rows as dicts."""
-        return asdict(self)
+        """The ``--stats`` envelope: the fields above, rows as dicts with
+        their keys' texts."""
+        rows = [dict(vars(row), reducer_key=to_text(row.reducer_key)) for row in self.reducers]
+        return dict(vars(self), reducers=rows)
 
 
 @dataclass
@@ -496,7 +480,6 @@ class PipelineResult:
     table: FormulaTable
     guard_map: dict[Formula, Formula]
     offsets: dict[int, frozenset[int]]
-    anchor_instant: int
     streams: Optional[dict[int, list[int]]] = None
 
     def stream_of(self, f: Formula) -> list[int]:
@@ -505,44 +488,26 @@ class PipelineResult:
         return self.streams[self.table.id_of[f]]
 
 
-def _reducer_spec(node: Formula, table: FormulaTable, last: int, tails: dict[int, bool], key_text: str):
-    """A key's reducer as ``(kind, args, kwargs)``: the reducer is called
-    as ``reduce_<kind>(records, *args, key_id, **kwargs)``.  ``key_text``
-    is for the key's stats row and error messages."""
+def _reducer(node: Formula, table: FormulaTable) -> Callable[[list[int]], tuple[list[int], int]]:
+    """A key's reducer bound to its operands, for a key that is not an atom:
+    called with one block of the key's records sorted by ``shuffle_sort``,
+    later blocks first, it returns the block's outputs and the key's peak
+    buffer so far.  A window key's buffer is bound with it."""
     node_id = table.id_of[node]
     kids = table.child_ids[node_id]
-    text = dict(key_text=key_text)
-    end = dict(last=last, tail=tails[node_id], **text)
-    if isinstance(node, Eventually):
-        return ("window", (kids[0], node.interval), dict(admit_any=False, buffer_truth=True, negate=False, **end))
-    if isinstance(node, ExactStep):
-        return ("window", (kids[0], node_interval(node)), dict(admit_any=True, buffer_truth=True, negate=False, **end))
-    if isinstance(node, Globally):
-        return ("window", (kids[0], node.interval), dict(admit_any=False, buffer_truth=False, negate=True, **end))
-    if isinstance(node, Until):
-        return ("window", (kids[1], node.interval),
-                dict(admit_any=False, buffer_truth=True, negate=False, cut_id=kids[0], **end))
     if isinstance(node, (Not, And, Or)):
         leafs = tuple(table.height_of[i] == 1 for i in kids)
         op = "not" if isinstance(node, Not) else "and" if isinstance(node, And) else "or"
-        return ("join", (kids, leafs, op), text)
-    raise EngineError(f"no reducer for node {node!r}")
-
-
-def _reduce_one(node_id: int, spec, records: list[int], state: Optional[WindowState] = None):
-    """Sort and reduce a key's records, or one block of them with the
-    key's window ``state`` carried over; returns the outputs, the peak
-    buffer, the records taken in and the milliseconds spent."""
-    start = time.perf_counter()
-    records_in = len(records)
-    shuffle_sort(records)
-    kind, args, kwargs = spec
-    if kind == "window":
-        outputs, peak = reduce_window(records, *args, node_id, state=state, **kwargs)
-    else:
-        outputs, peak = reduce_join(records, *args, node_id, **kwargs)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return outputs, peak, records_in, elapsed_ms
+        return lambda records: reduce_join(records, kids, leafs, op, node_id, node)
+    interval = node_interval(node)
+    options = dict(  # until is eventually over its right operand, cut by its left one
+        admit_any=isinstance(node, ExactStep),
+        universal=isinstance(node, Globally),
+        cut_id=kids[0] if isinstance(node, Until) else None,
+        key=node,
+        state=WindowState(),
+    )
+    return lambda records: reduce_window(records, kids[-1], interval, node_id, **options)
 
 
 def _seed_instants(
@@ -620,23 +585,20 @@ def run_pipeline(
         guard_map = {node: node for node in table.nodes}
     if table.size >= CHILD_MASK:
         raise EngineError("formula too large for the record encoding")
-    offsets = compute_offsets(table)
     positions = word.timestamps
     first, last = positions[0], positions[-1]
     gapped = len(positions) <= last - first
     anchor_instant = 0 if anchor == ANCHOR_ZERO else first
-    tails = tail_values(table)
-    key_texts = texts(table.root)  # every key's text from one walk
-    specs = {
-        table.id_of[node]: _reducer_spec(node, table, last, tails, key_texts[node])
+    offsets = compute_offsets(table, last - anchor_instant)
+    reducers = {
+        table.id_of[node]: _reducer(node, table)
         for node in table.nodes
         if not isinstance(node, (Atom, Act))
     }
     # every parent is strictly taller than its children, so in this order
     # each key's block inbox is complete when taken
-    order = sorted(specs, key=lambda i: (table.height_of[i], i))
-    rows = {kid: ReducerStats(specs[kid][2]["key_text"], 0, 0, 0, 0, 0.0) for kid in order}
-    states = {kid: WindowState() for kid in order if specs[kid][0] == "window"}
+    order = sorted(reducers, key=lambda i: (table.height_of[i], i))
+    rows = {kid: ReducerStats(table.node(kid), 0, 0, 0, 0, 0.0) for kid in order}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
     root_id = table.root_id
     root_outputs: Optional[list[int]] = None
@@ -673,14 +635,15 @@ def run_pipeline(
     def reduce_key(kid: int, start: int, stop: int) -> None:
         nonlocal root_outputs
         records, markers = take(kid, start, stop)
-        outputs, peak, records_in, elapsed_ms = _reduce_one(kid, specs[kid], records, states.get(kid))
-        del records  # the consumed inbox, dropped before the outputs are routed
         row = rows[kid]
-        row.peak_win = max(row.peak_win, peak)
-        row.records_in += records_in
+        row.records_in += len(records)
         row.markers += markers
+        began = time.perf_counter()
+        outputs, peak = reducers[kid](shuffle_sort(records))
+        row.iteration_ms += (time.perf_counter() - began) * 1000.0
+        del records  # the consumed inbox, dropped before the outputs are routed
+        row.peak_win = max(row.peak_win, peak)
         row.records_out += len(outputs)
-        row.iteration_ms += elapsed_ms
         route(kid, outputs)
         if streams is not None:
             streams.setdefault(kid, []).extend(outputs)
@@ -737,6 +700,5 @@ def run_pipeline(
         table=table,
         guard_map=guard_map,
         offsets=offsets,
-        anchor_instant=anchor_instant,
         streams=streams,
     )

@@ -23,6 +23,7 @@ rejected by the parser; it only ever appears in machine-built formulas.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Optional, TypeVar, Union
 
@@ -306,18 +307,22 @@ def postorder(f: Formula) -> list[Formula]:
     return order
 
 
-def images(f: Formula, rule: Callable[[Formula, tuple], T]) -> dict[Formula, T]:
-    """Each node's image, where ``rule(node, kid_images)`` gives a node's
-    image, once, from the images of its children."""
-    image: dict[Formula, T] = {}
-    for node in postorder(f):
-        image[node] = rule(node, tuple([image[kid] for kid in children(node)]))
-    return image
-
-
 def fold(f: Formula, rule: Callable[[Formula, tuple], T]) -> T:
-    """The root's image under ``rule`` (see ``images``)."""
-    return images(f, rule)[f]
+    """The root's image, where ``rule(node, kid_images)`` gives a node's
+    image, once, from the images of its children.  Each image is dropped
+    once its last parent has read it, so the images held at any time are
+    those still awaited, not every node's."""
+    order = postorder(f)
+    unread = Counter(kid for node in order for kid in children(node))
+    image: dict[Formula, T] = {}
+    for node in order:
+        kids = children(node)
+        image[node] = rule(node, tuple([image[kid] for kid in kids]))
+        for kid in kids:
+            unread[kid] -= 1
+            if not unread[kid]:
+                del image[kid]
+    return image[f]
 
 
 def with_children(node: Formula, kids: tuple[Formula, ...]) -> Formula:
@@ -377,11 +382,6 @@ def _render(f: Formula, kids: tuple[tuple[str, int], ...]) -> tuple[str, int]:
 def to_text(f: Formula) -> str:
     """Render a formula in the input grammar (parseable unless it contains Act)."""
     return fold(f, _render)[0]
-
-
-def texts(f: Formula) -> dict[Formula, str]:
-    """The text of every node of ``f``, from one walk."""
-    return {node: image[0] for node, image in images(f, _render).items()}
 
 
 # ---------------------------------------------------------------------------

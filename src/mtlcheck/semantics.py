@@ -42,7 +42,7 @@ from .formula import (
     Until,
     analyze,
     node_interval,
-    texts,
+    to_text,
 )
 from .trace import TimedWord
 
@@ -222,11 +222,10 @@ class EvalTable:
 
     def to_tsv(self, stream: TextIO) -> None:
         stream.write("formula\t" + "\t".join(str(k) for k in self.keys) + "\n")
-        text = texts(self.table.root)  # every row's text from one walk
         height = self.table.height_of
         for node_id in sorted(self.rows, key=lambda i: (height[i], i)):
             cells = [TRUE_CELL if self.rows[node_id][k] else FALSE_CELL for k in self.keys]
-            stream.write(text[self.table.node(node_id)] + "\t" + "\t".join(cells) + "\n")
+            stream.write(to_text(self.table.node(node_id)) + "\t" + "\t".join(cells) + "\n")
 
     def tsv_text(self) -> str:
         buf = io.StringIO()

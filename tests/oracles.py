@@ -376,8 +376,8 @@ def map_step(
 
     Every record is routed to each superformula key.  A position record
     additionally plants sanctioned markers at the parent's offset instants
-    up to ``last`` (the last element's timestamp; every key reads its tail
-    value past it) and, under a decomposition-made exact-step parent, an
+    up to ``last`` (the last element's timestamp; no key is read past it)
+    and, under a decomposition-made exact-step parent, an
     (unsanctioned) marker one step ahead.  The function is pure: output
     depends only on the record and the job's static tables.  The runner
     seeds the same sanctioned markers per key instead; the tests pin the
@@ -407,7 +407,7 @@ def map_step(
 # Reducer oracles: per-instant brute force over deduplicated streams
 # ---------------------------------------------------------------------------
 
-def check_dup(records: Sequence[int], key_text: str = "?") -> list[int]:
+def check_dup(records: Sequence[int], key: object = "?") -> list[int]:
     """Collapse duplicates in a shuffled stream (idempotent).
 
     A marker colliding with a position record at the same instant is
@@ -438,7 +438,7 @@ def check_dup(records: Sequence[int], key_text: str = "?") -> list[int]:
                 if child == prev_child:
                     if truth != prev_truth:
                         raise EngineError(
-                            f"conflicting duplicate records for {key_text} at instant {tau}"
+                            f"conflicting duplicate records for {key} at instant {tau}"
                         )
                 else:
                     out.append(r)
@@ -456,11 +456,11 @@ def check_dup(records: Sequence[int], key_text: str = "?") -> list[int]:
 Group = list[tuple[int, bool, bool]]
 
 
-def _instant_groups(records: Sequence[int], key_text: str) -> list[tuple[int, Group]]:
+def _instant_groups(records: Sequence[int], key: object) -> list[tuple[int, Group]]:
     """check_dup(shuffle_sort(records)) grouped by instant, latest first, as
     (child, truth, position) triples; a marker is (ACT_CHILD, sanctioned, False)."""
     groups: dict[int, Group] = {}
-    for r in check_dup(shuffle_sort(list(records)), key_text):
+    for r in check_dup(shuffle_sort(list(records)), key):
         child = (r >> 3) & CHILD_MASK
         flag = bool(r & (SANCTIONED_FLAG if child == ACT_CHILD else TRUTH_FLAG))
         groups.setdefault(r >> TAU_SHIFT, []).append((child, flag, bool(r & POSITION_FLAG)))
@@ -485,33 +485,34 @@ def _retained(buffered: list[int], iv: Interval) -> int:
 
 
 def naive_reduce_window(records, child_id, iv, out_key, *, admit_any=False,
-                        buffer_truth=True, negate=False, key_text="?"):
+                        universal=False, key="?"):
     """(outputs, peak buffer) of a window key, by scanning every buffered
-    instant at every emission instant."""
+    instant at every emission instant; a universal key buffers false
+    records and holds when none is in range."""
     buffered: list[int] = []
     outputs: list[int] = []
     peak = 0
-    for tau, group in _instant_groups(records, key_text):
+    for tau, group in _instant_groups(records, key):
         buffered += [
             tau for child, truth, pos in group
-            if child == child_id and truth == buffer_truth and (admit_any or pos)
+            if child == child_id and truth != universal and (admit_any or pos)
         ]
         peak = max(peak, _retained(buffered, iv))
         emit, pos_out = _emission(group)
         if emit:
             held = any(_contains_fraction(iv, Fraction(t - tau)) for t in buffered)
-            outputs.append(pack_record(tau, out_key, held != negate, pos_out, False))
+            outputs.append(pack_record(tau, out_key, held != universal, pos_out, False))
     return outputs, peak
 
 
-def naive_reduce_until(records, left_id, right_id, iv, out_key, *, key_text="?"):
+def naive_reduce_until(records, left_id, right_id, iv, out_key, *, key="?"):
     """(outputs, peak buffer) of an until key: a right witness at a position
     counts when no left failure at a position lies strictly between."""
     witnesses: list[int] = []
     failures: list[int] = []
     outputs: list[int] = []
     peak = 0
-    for tau, group in _instant_groups(records, key_text):
+    for tau, group in _instant_groups(records, key):
         at_positions = [
             (child, truth) for child, truth, pos in group if child != ACT_CHILD and pos
         ]
@@ -526,10 +527,10 @@ def naive_reduce_until(records, left_id, right_id, iv, out_key, *, key_text="?")
     return outputs, peak
 
 
-def naive_reduce_join(records, operand_ids, operand_is_leaf, op, out_key, key_text="?"):
+def naive_reduce_join(records, operand_ids, operand_is_leaf, op, out_key, key="?"):
     """(outputs, 0) of a boolean key, operand values looked up per instant."""
     outputs: list[int] = []
-    for tau, group in _instant_groups(records, key_text):
+    for tau, group in _instant_groups(records, key):
         emit, pos_out = _emission(group)
         if not emit:
             continue
@@ -537,7 +538,7 @@ def naive_reduce_join(records, operand_ids, operand_is_leaf, op, out_key, key_te
         resolved = []
         for oid, leaf in zip(operand_ids, operand_is_leaf):
             if oid not in values and not leaf:
-                raise EngineError(f"missing operand value for {key_text} at instant {tau}")
+                raise EngineError(f"missing operand value for {key} at instant {tau}")
             resolved.append(values.get(oid, False))
         if op == "not":
             val = not resolved[0]

@@ -14,8 +14,7 @@ from mtlcheck import engine
 from mtlcheck.engine import (
     ACT_CHILD,
     EngineError,
-    _reduce_one,
-    _reducer_spec,
+    _reducer,
     atom_records,
     compute_offsets,
     input_read,
@@ -26,7 +25,6 @@ from mtlcheck.engine import (
     reduce_window,
     run_pipeline,
     shuffle_sort,
-    tail_values,
 )
 from mtlcheck.formula import (
     Act,
@@ -38,11 +36,12 @@ from mtlcheck.formula import (
     Or,
     analyze,
     parse_formula,
+    postorder,
     to_text,
 )
 from mtlcheck.semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
 from mtlcheck.trace import GeneratorConfig, TraceError, generate_trace, parse_trace_lines, word
-from mtlcheck.transforms import lazy_translation, max_bounded_upper
+from mtlcheck.transforms import lazy_translation, pipeline_formula
 from oracles import (
     ShownWord,
     check_dup,
@@ -113,18 +112,19 @@ class TestInputRead:
             input_read(["# nothing"])
 
 
+HORIZON = 100  # beyond every offset the tables below reach
+
+
 class TestOffsets:
     def test_point_style_tables_have_trivial_offsets(self):
         table = analyze(parse_formula("(p U[0,9] q) & F[2,5] p"))
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         assert all(offs == frozenset({0}) for offs in offsets.values())
 
     def test_exact_steps_shift_their_operands(self):
-        from mtlcheck.transforms import pipeline_formula
-
         stripped, _ = pipeline_formula(parse_formula("F[3,7] p"), 4)
         table = analyze(stripped)
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         by_text = {to_text(table.node(i)): offsets[i] for i in range(1, table.size + 1)}
         assert by_text["F[3,4] p | F=4 (F[0,3] p)"] == frozenset({0})
         assert by_text["F[3,4] p"] == frozenset({0})
@@ -135,7 +135,7 @@ class TestOffsets:
     def test_stacked_steps_accumulate(self):
         f = ExactStep(3, ExactStep(5, Atom("p")))
         table = analyze(f)
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         assert offsets[table.id_of[f]] == frozenset({0})
         assert offsets[table.id_of[ExactStep(5, Atom("p"))]] == frozenset({0, 3})
         # the atom is shifted by the inner step from every instant the
@@ -145,15 +145,22 @@ class TestOffsets:
     def test_booleans_pass_offsets_through(self):
         f = ExactStep(4, parse_formula("p | q"))
         table = analyze(f)
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         assert offsets[table.id_of[Atom("p")]] == frozenset({0, 4})
         assert offsets[table.id_of[Atom("q")]] == frozenset({0, 4})
+
+    def test_offsets_stop_at_the_horizon(self):
+        f = ExactStep(3, ExactStep(5, Atom("p")))
+        table = analyze(f)
+        offsets = compute_offsets(table, 7)
+        assert offsets[table.id_of[ExactStep(5, Atom("p"))]] == frozenset({0, 3})
+        assert offsets[table.id_of[Atom("p")]] == frozenset({0, 5})
 
 
 class TestMapStep:
     def test_routes_to_every_superformula(self):
         table = analyze(parse_formula("(a & b) | !a"))
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         aid = table.id_of[Atom("a")]
         rec = pack_record(42, aid, True, True, False)
         outs = map_step(aid, rec, table, offsets)
@@ -163,11 +170,9 @@ class TestMapStep:
         assert all(r == rec for _, r in outs)
 
     def test_plants_a_marker_one_step_under_an_exact_parent(self):
-        from mtlcheck.transforms import pipeline_formula
-
         stripped, _ = pipeline_formula(parse_formula("F[3,7] p"), 4)
         table = analyze(stripped)
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         inner = parse_formula("F[0,3] p")
         kid = table.id_of[inner]
         parent = table.id_of[ExactStep(4, inner)]
@@ -183,7 +188,7 @@ class TestMapStep:
     def test_plants_sanctioned_markers_at_parent_offsets(self):
         f = ExactStep(3, ExactStep(5, Atom("p")))
         table = analyze(f)
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         aid = table.id_of[Atom("p")]
         mid = table.id_of[ExactStep(5, Atom("p"))]
         rec = pack_record(10, aid, True, True, False)
@@ -197,7 +202,7 @@ class TestMapStep:
     def test_markers_only_from_position_records(self):
         f = ExactStep(3, ExactStep(5, Atom("p")))
         table = analyze(f)
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         aid = table.id_of[Atom("p")]
         unflagged = pack_record(10, aid, True, False, False)
         outs = map_step(aid, unflagged, table, offsets)
@@ -205,7 +210,7 @@ class TestMapStep:
 
     def test_pure_and_permutation_independent(self):
         table = analyze(parse_formula("F[3,7] p"))
-        offsets = compute_offsets(table)
+        offsets = compute_offsets(table, HORIZON)
         aid = table.id_of[Atom("p")]
         recs = [pack_record(t, aid, t % 2 == 0, True, False) for t in (3, 9, 27)]
         split = [map_step(aid, r, table, offsets) for r in recs]
@@ -287,7 +292,7 @@ def _window(**kwargs):
 def _until(left, right):
     """Until runs on the window reducer over its right operand, cut by the
     left one, and is judged by the until oracle."""
-    folded = dict(admit_any=False, buffer_truth=True, negate=False, cut_id=left)
+    folded = dict(admit_any=False, cut_id=left)
     return (reduce_window, (right,), folded), (naive_reduce_until, (left, right), {})
 
 
@@ -298,9 +303,9 @@ def _join(operands):
 # Reducer kind -> (engine, oracle), each as (reducer, positional args,
 # keyword args).  Joins take their leaf flags from the test.
 REDUCER_KINDS = {
-    "eventually": _window(admit_any=False, buffer_truth=True, negate=False),
-    "globally": _window(admit_any=False, buffer_truth=False, negate=True),
-    "exact-step": _window(admit_any=True, buffer_truth=True, negate=False),
+    "eventually": _window(admit_any=False, universal=False),
+    "globally": _window(admit_any=False, universal=True),
+    "exact-step": _window(admit_any=True, universal=False),
     "until": _until(LEFT, RIGHT),
     "until-same": _until(LEFT, LEFT),
     "not": _join((LEFT,)),
@@ -316,7 +321,7 @@ def _run_reducer(side, records, kind, iv, leafs):
     try:
         if fn in (reduce_join, naive_reduce_join):
             return fn(records, args[0], leafs[: len(args[0])], kind, KEY, "k")
-        return fn(records, *args, iv, KEY, key_text="k", **kwargs)
+        return fn(records, *args, iv, KEY, key="k", **kwargs)
     except EngineError as exc:
         return str(exc)
 
@@ -599,19 +604,17 @@ class TestRunPipeline:
 def _mapper_route(w, formula, budget):
     """The record-by-record mapper route: markers planted per mapped record
     instead of seeded by the runner.  Used to pin the runner's seeding."""
-    from mtlcheck.transforms import pipeline_formula
-
     if budget is not None:
         run_root, _ = pipeline_formula(formula, budget)
     else:
         run_root = formula
     table = analyze(run_root)
+    first, last = w.timestamps[0], w.timestamps[-1]
     offsets = (
-        compute_offsets(table)
+        compute_offsets(table, last - first)
         if budget is not None
         else {i: frozenset({0}) for i in range(1, table.size + 1)}
     )
-    last = w.timestamps[-1]
     inbox = defaultdict(list)
     streams = {}
     for aid, recs in atom_records(w, table).items():
@@ -619,14 +622,13 @@ def _mapper_route(w, formula, budget):
         for rec in recs:
             for key, out in map_step(aid, rec, table, offsets, last):
                 inbox[key].append(out)
-    tails = tail_values(table)
-    specs = {
-        table.id_of[node]: _reducer_spec(node, table, last, tails, to_text(node))
+    reducers = {
+        table.id_of[node]: _reducer(node, table)
         for node in table.nodes
         if table.child_ids[table.id_of[node]]
     }
-    for kid in sorted(specs, key=lambda i: table.height_of[i]):
-        outputs, _, _, _ = _reduce_one(kid, specs[kid], inbox.pop(kid, []))
+    for kid in sorted(reducers, key=lambda i: table.height_of[i]):
+        outputs, _ = reducers[kid](shuffle_sort(inbox.pop(kid, [])))
         streams[kid] = outputs
         for rec in outputs:
             for key, out in map_step(kid, rec, table, offsets, last):
@@ -653,18 +655,21 @@ class TestSeedingMatchesTheMapperRoute:
 
 
 class TestTail:
+    """No key reads anything past the last element: an exact step whose
+    step lands there reads no record and answers false, which is right
+    because the decomposition puts every exact step over an operand that
+    is false there."""
+
     @settings(max_examples=150, deadline=None)
     @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=5),
            words(max_len=7, max_timestamp=20))
-    def test_tail_values_match_the_lazy_evaluator(self, f, k, w):
-        res = run_pipeline(w, f, semantics=LAZY, window_budget=k)
-        tails = tail_values(res.table)
+    def test_exact_step_operands_are_false_past_the_end(self, f, k, w):
+        plan, guard_map = pipeline_formula(f, k)
         last = w.timestamps[-1]
-        reach = max(max(offs) for offs in res.offsets.values()) + max_bounded_upper(res.table.root)
-        for node in res.table.nodes:
-            for t in (last + 1, last + 1 + reach):
-                want = eval_lazy(w, t, res.guard_map[node])
-                assert tails[res.table.id_of[node]] == want, (to_text(node), t)
+        for node in postorder(plan):
+            if isinstance(node, ExactStep):
+                for t in range(last + 1, last + 1 + node.step):
+                    assert not eval_lazy(w, t, guard_map[node.child]), (to_text(node), t)
 
     @settings(max_examples=150, deadline=None)
     @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=5),
@@ -677,25 +682,14 @@ class TestTail:
             assert all(record_tau(r) <= last for r in stream)
 
     def test_zero_anchor_plants_no_instant_past_the_last_element(self):
-        # offsets reach 6 on a trace that ends at 2; only instant 0 is a gap
+        # the steps reach 6 on a trace that ends at 2, so offsets stop at
+        # the horizon 2; only instant 0 is a gap
         w = word((("p",), 1), (("p",), 2))
         res = run_pipeline(w, parse_formula("F[3,7] p"), semantics=LAZY, window_budget=2,
                            anchor=ANCHOR_ZERO, collect_streams=True)
-        assert max(max(offs) for offs in res.offsets.values()) == 6
+        assert max(max(offs) for offs in res.offsets.values()) == 2
         assert {record_tau(r) for s in res.streams.values() for r in s} == {0, 1, 2}
         assert res.verdict is False
-
-    def test_exact_step_reads_its_operand_tail_past_the_end(self):
-        # F=3 over an operand false at positions 1-5 and true past 5: the
-        # decomposition never builds such an operand, so call the reducer
-        records = shuffle_sort([pack_record(t, 2, False, True, False) for t in range(1, 6)])
-        step = Interval(3, 3, True, True)
-        got, _ = reduce_window(records, 2, step, 3, admit_any=True, last=5, tail=True)
-        assert [(record_tau(r), record_truth(r)) for r in got] == [
-            (5, True), (4, True), (3, True), (2, False), (1, False),
-        ]
-        got, _ = reduce_window(records, 2, step, 3, admit_any=True)
-        assert not any(record_truth(r) for r in got)
 
 
 class TestAgainstTheEvaluators:
@@ -755,25 +749,31 @@ class TestBlocks:
             assert _shown(run_pipeline(w, f, collect_streams=True, **kwargs)) == want
 
 
-def _pipeline_peak(n, budget):
-    """The tracemalloc peak of one run_pipeline call over an n-element
-    unit-spaced trace, above the memory held when it starts (so the word
-    is excluded)."""
-    text = io.BytesIO()
-    generate_trace(GeneratorConfig(n=n, m=20, seed=1, force_p=True), text)
-    w = parse_trace_lines(text.getvalue().splitlines())
-    f = parse_formula("F[0,500] p")
+def _traced_peak(run):
+    """The tracemalloc peak of ``run()`` above the memory held when it
+    starts, and its result."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        res = run_pipeline(w, f, window_budget=budget)
+        res = run()
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         if started:
             tracemalloc.stop()
+    return peak, res
+
+
+def _pipeline_peak(n, budget):
+    """The tracemalloc peak of one run_pipeline call over an n-element
+    unit-spaced trace (the word is made before, so it is excluded)."""
+    text = io.BytesIO()
+    generate_trace(GeneratorConfig(n=n, m=20, seed=1, force_p=True), text)
+    w = parse_trace_lines(text.getvalue().splitlines())
+    f = parse_formula("F[0,500] p")
+    peak, res = _traced_peak(lambda: run_pipeline(w, f, window_budget=budget))
     assert res.verdict is True
     return peak
 
@@ -786,3 +786,16 @@ class TestMemory:
         small = _pipeline_peak(2 * engine.BLOCK, budget)
         large = _pipeline_peak(20 * engine.BLOCK, budget)
         assert large <= 1.25 * small, (small, large)
+
+    def test_pipeline_peak_is_linear_in_the_hop_count(self):
+        # a chain of exact steps one apart: doubling its hops over a short
+        # trace may at most about double the peak (per-key tables that grow
+        # with the square of the depth gave 4x)
+        w = word((("p",), 1), (("q",), 2), (("p",), 3), (("p", "q"), 5))
+
+        def peak(n):
+            f = parse_formula(f"F[0,{n}] p")
+            return _traced_peak(lambda: run_pipeline(w, f, window_budget=1))[0]
+
+        short, deep = peak(500), peak(1000)
+        assert deep <= 2.5 * short, (short, deep)
