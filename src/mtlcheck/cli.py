@@ -35,7 +35,7 @@ from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .engine import EngineError, input_read, run_pipeline
-from .formula import FormulaError, parse_formula, to_text
+from .formula import Atom, FormulaError, parse_formula, postorder, to_text
 from .semantics import (
     ANCHOR_FIRST,
     ANCHOR_ZERO,
@@ -105,10 +105,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     except FormulaError as exc:
         return _fail(str(exc))
 
+    # the rewrites add only Act markers, never atoms, so the formula's atoms
+    # are all the pipeline, the oracle and the table read of the trace
+    atoms = {node.name for node in postorder(formula) if isinstance(node, Atom)}
     try:
         source = nullcontext(sys.stdin.buffer) if args.trace == "-" else open(args.trace, "rb")
         with source as fh:
-            word, first_instant = input_read(split_lines(fh))
+            word, first_instant = input_read(split_lines(fh), atoms)
     except (TraceError, OSError) as exc:
         return _fail(str(exc))
 
@@ -202,12 +205,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_trace(n: int, m: int, seed: int, *, force_p: bool, suppress_q: bool):
+def _bench_trace(n: int, m: int, seed: int, atom: str, *, force_p: bool, suppress_q: bool):
+    """A generated trace parsed for the one atom its template reads."""
     cfg = GeneratorConfig(n=n, m=m, seed=seed, force_p=force_p, suppress_q=suppress_q)
     buf = io.BytesIO()
     generate_trace(cfg, buf)
     buf.seek(0)
-    return parse_trace(buf)
+    return parse_trace(buf, (atom,))
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -218,11 +222,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if any(n < 0 for n in windows) or any(k < 1 for k in budgets):
         return _fail("window sizes must be non-negative and budgets positive")
 
-    templates = []
+    templates = []  # (formula text, its one atom, trace options)
     if args.template in ("f", "both"):
-        templates.append(("F[0,{N}] p", dict(force_p=True, suppress_q=False)))
+        templates.append(("F[0,{N}] p", "p", dict(force_p=True, suppress_q=False)))
     if args.template in ("g", "both"):
-        templates.append(("G[0,{N}] q", dict(force_p=False, suppress_q=True)))
+        templates.append(("G[0,{N}] q", "q", dict(force_p=False, suppress_q=True)))
 
     try:
         out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
@@ -231,8 +235,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     try:
         out.write(",".join(BENCH_CSV_COLUMNS) + "\n")
         out.flush()
-        for template_text, trace_kwargs in templates:
-            word = _bench_trace(args.trace_n, args.m, args.seed, **trace_kwargs)
+        for template_text, atom, trace_kwargs in templates:
+            word = _bench_trace(args.trace_n, args.m, args.seed, atom, **trace_kwargs)
             for window in windows:
                 formula = parse_formula(template_text.format(N=window))
                 for budget in [None] + list(budgets):

@@ -158,11 +158,15 @@ def atom_records(
     return per_atom
 
 
-def input_read(lines: Iterable[Union[str, bytes]]) -> tuple[TimedWord, int]:
+def input_read(
+    lines: Iterable[Union[str, bytes]], atoms: Optional[Iterable[str]] = None
+) -> tuple[TimedWord, int]:
     """Parse trace text in one pass; returns the word and its first
-    timestamp, the instant a verdict is read at by default.  A parse
+    timestamp, the instant a verdict is read at by default.  With ``atoms``
+    (the formula's atoms) the word keeps only their flag columns, which is
+    all a check reads; every line is validated either way, and a parse
     failure raises ``TraceError`` naming the failing line."""
-    word = parse_trace_lines(lines)
+    word = parse_trace_lines(lines, atoms)
     return word, word.timestamps[0]
 
 
@@ -478,7 +482,7 @@ class PipelineResult:
     verdict: bool
     stats: RunStats
     table: FormulaTable
-    guard_map: dict[Formula, Formula]
+    guard_map: Optional[dict[Formula, Formula]]  # None unless streams are collected
     offsets: dict[int, frozenset[int]]
     streams: Optional[dict[int, list[int]]] = None
 
@@ -563,6 +567,10 @@ def run_pipeline(
     ``workers`` is accepted for callers that pass it and must be at least
     1; the keys are always reduced one at a time, so it does not change
     the run.
+
+    With ``collect_streams`` the result keeps every key's output stream
+    and the guard map the streams are checked against; without it both
+    are None.
     """
     if semantics not in (POINT, LAZY):
         raise EngineError(f"unknown semantics {semantics!r}")
@@ -575,14 +583,18 @@ def run_pipeline(
     if anchor == ANCHOR_ZERO and semantics != LAZY:
         raise EngineError("the zero anchor requires lazy semantics")
 
+    # only stream readers use the guard map; dropped, it frees the guarded
+    # plan it holds alive
     if window_budget is not None:
         run_root, guard_map = pipeline_formula(formula, window_budget)
+        if not collect_streams:
+            guard_map = None
         table = analyze(run_root)
     else:
         table = analyze(formula)
         if any(isinstance(node, (ExactStep, Act)) for node in table.nodes):
             raise EngineError("point-mode input must not contain marker nodes")
-        guard_map = {node: node for node in table.nodes}
+        guard_map = {node: node for node in table.nodes} if collect_streams else None
     if table.size >= CHILD_MASK:
         raise EngineError("formula too large for the record encoding")
     positions = word.timestamps

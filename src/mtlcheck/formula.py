@@ -609,7 +609,7 @@ class FormulaTable:
     nodes: list[Formula] = field(default_factory=list)          # id -> node (ids from 1)
     id_of: dict[Formula, int] = field(default_factory=dict)
     child_ids: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    parent_ids: dict[int, frozenset[int]] = field(default_factory=dict)
+    parent_ids: dict[int, tuple[int, ...]] = field(default_factory=dict)  # ascending
     height_of: dict[int, int] = field(default_factory=dict)
 
     def node(self, node_id: int) -> Formula:
@@ -638,9 +638,13 @@ def analyze(root: Formula) -> FormulaTable:
         node_id = table.id_of[f] = len(table.nodes)
         kid_ids = table.child_ids[node_id] = tuple(table.id_of[kid] for kid in children(f))
         table.height_of[node_id] = 1 + max((table.height_of[k] for k in kid_ids), default=0)
-    parents: dict[int, set[int]] = {i: set() for i in range(1, len(table.nodes) + 1)}
-    for pid, kids in table.child_ids.items():
+    # one ascending tuple per key: nearly every key has a single parent, and
+    # a one-int tuple holds under a third of what a frozenset does
+    parents: dict[int, list[int]] = {i: [] for i in range(1, len(table.nodes) + 1)}
+    for pid, kids in table.child_ids.items():  # ascending parent ids
         for kid in kids:
-            parents[kid].add(pid)
-    table.parent_ids = {i: frozenset(ps) for i, ps in parents.items()}
+            ps = parents[kid]
+            if not ps or ps[-1] != pid:  # a parent lists a repeated child twice
+                ps.append(pid)
+    table.parent_ids = {i: tuple(ps) for i, ps in parents.items()}
     return table

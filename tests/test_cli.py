@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtlcheck
-from mtlcheck import cli
+from mtlcheck import cli, engine
 from mtlcheck.cli import BENCH_CSV_COLUMNS, main
 from mtlcheck.formula import (
     Eventually,
@@ -28,6 +29,7 @@ from mtlcheck.formula import (
     to_text,
     with_children,
 )
+from mtlcheck.trace import GeneratorConfig, TraceError, generate_trace, parse_trace_lines
 from mtlcheck.transforms import decompose
 from oracles import elements, random_formula, words
 
@@ -318,6 +320,94 @@ class TestCheck:
             rows = json.loads("\n".join(lines[:-1]))["reducers"]
             assert len(rows) > 3
             assert [row["markers"] for row in rows] == [0] * len(rows)
+
+
+def _all_atoms_read(lines, atoms=None):
+    """``input_read`` as it was before checks read only the formula's atoms."""
+    return engine.input_read(lines)
+
+
+def _check_output(argv, capsys):
+    """A check's exit status and output, with the timing in --stats rows
+    left out."""
+    status = main(argv)
+    out = capsys.readouterr().out
+    if "--stats" in argv:
+        lines = out.splitlines()
+        payload = json.loads("\n".join(lines[:-1]))
+        for row in payload["reducers"]:
+            del row["iteration_ms"]
+        out = (payload, lines[-1])
+    return status, out
+
+
+class TestFormulaAtomsOnly:
+    """``check`` reads only the formula's atoms from the trace, and shows
+    nothing that the all-atoms parse would show differently."""
+
+    @pytest.mark.parametrize("data", [
+        b"1 p\n2 q \xff r\n3 p\n",   # not UTF-8
+        b"1 p\n2x q\n3 p\n",          # not a timestamp
+        b"1 p\n3 q\n3 r\n",           # not increasing
+        b"0 q\n1 p\n",                # not positive
+    ])
+    def test_defect_in_a_line_of_other_atoms_exit_2(self, capsys, tmp_path, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        with pytest.raises(TraceError) as full:
+            parse_trace_lines(data.splitlines())
+        assert "line " in str(full.value)
+        assert main(["check", str(path), "-f", "F[0,3] p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {full.value}\n"
+
+    @pytest.mark.parametrize("argv_tail", [
+        ["-f", "G[0,20] (p2 -> F[0,5] p3)", "--k", "4", "--stats"],
+        ["-f", "p2 U[0,9] p3", "--semantics", "lazy", "--k", "3", "--stats"],
+        ["-f", "F[2,9] p & !q", "--stats"],
+        ["-f", "G[0,20] (p2 -> F[0,5] p3)", "--k", "4", "--table", "-"],
+        ["-f", "F[2,9] p & !q", "--table", "-"],
+        ["-f", "G[0,20] (p2 -> F[0,5] p3)", "--k", "4", "--oracle"],
+        ["-f", "F[2,9] p & !q", "--oracle"],
+        ["-f", "p4 U[0,9] p3", "--semantics", "lazy", "--anchor", "zero", "--oracle"],
+    ])
+    def test_output_matches_the_all_atoms_parse(self, capsys, tmp_path, monkeypatch, argv_tail):
+        path = tmp_path / "trace.txt"
+        with open(path, "wb") as fh:
+            generate_trace(GeneratorConfig(n=120, m=6, seed=3), fh)
+        argv = ["check", str(path)] + argv_tail
+        filtered = _check_output(argv, capsys)
+        monkeypatch.setattr(cli, "input_read", _all_atoms_read)
+        assert _check_output(argv, capsys) == filtered
+
+    def test_word_of_one_atom_is_a_fraction_of_the_whole(self, capsys, tmp_path, monkeypatch):
+        # the timestamps are common to both words; 21 flag columns of a
+        # byte per element are not, so one atom's word is about two thirds
+        path = tmp_path / "trace.txt"
+        with open(path, "wb") as fh:
+            generate_trace(GeneratorConfig(n=3_000, m=20, seed=1), fh)
+        held = []
+
+        def measured(read):
+            def input_read(*args, **kwargs):
+                before = tracemalloc.get_traced_memory()[0]
+                result = read(*args, **kwargs)
+                held.append(tracemalloc.get_traced_memory()[0] - before)
+                assert len(result[0].atoms) == (21 if read is _all_atoms_read else 1)
+                return result
+            return input_read
+
+        tracemalloc.start()
+        try:
+            for read in (cli.input_read, _all_atoms_read):
+                monkeypatch.setattr(cli, "input_read", measured(read))
+                assert main(["check", str(path), "-f", "F[0,100] p"]) == 0
+        finally:
+            tracemalloc.stop()
+        one, every = held
+        assert one <= 0.75 * every, f"one atom's word is {one / every:.2f}x the whole"
+        capsys.readouterr()
 
 
 class TestGenerate:

@@ -103,6 +103,14 @@ class TestInputRead:
         per_atom = atom_records(input_read(["1 p", "2 q"])[0], table)
         assert set(per_atom) == {table.id_of[Atom("p")], table.id_of[Atom("q")]}
 
+    def test_formula_atoms_only(self):
+        table = analyze(parse_formula("F[3,7] p"))
+        w, first = input_read(["1 p q", "2 r", "4 p"], atoms={"p"})
+        assert w.atoms == {"p"} and first == 1
+        assert atom_records(w, table) == atom_records(input_read(["1 p q", "2 r", "4 p"])[0], table)
+        with pytest.raises(TraceError, match="line 3"):  # a line of other atoms is checked too
+            input_read(["1 p", "2 q", "2 r"], atoms={"p"})
+
     def test_cross_block_ordering_still_checked(self):
         with pytest.raises(TraceError, match="line 2"):
             input_read(["5 p", "3 p"])
@@ -507,6 +515,13 @@ class TestRunPipeline:
         assert res.verdict is True
         assert res.stats.iterations == 4  # read plus three reduce waves
         assert res.stats.peak_win_records <= 5
+
+    def test_guard_map_only_with_streams(self):
+        f = parse_formula("F[3,7] p")
+        for kwargs in ({}, dict(semantics=LAZY, window_budget=4)):
+            assert run_pipeline(EXAMPLE_WORD, f, **kwargs).guard_map is None
+            res = run_pipeline(EXAMPLE_WORD, f, collect_streams=True, **kwargs)
+            assert set(res.guard_map) == set(res.table.nodes)
 
     def test_atom_root_is_a_read_only_run(self):
         res = run_pipeline(EXAMPLE_WORD, Atom("p"))

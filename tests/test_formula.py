@@ -106,13 +106,15 @@ class TestTable:
             parse_formula("F[2,4](a & b)"),
             parse_formula("!c"),
         }
-        conj = frozenset({table.id_of[And(Atom("a"), Atom("b"))]})
+        conj = (table.id_of[And(Atom("a"), Atom("b"))],)
         assert table.parent_ids[table.id_of[Atom("a")]] == conj
         assert table.parent_ids[table.id_of[Atom("b")]] == conj
         assert table.root_id == table.size  # the root is listed once, last
 
     def test_structural_sharing(self):
-        assert analyze(And(Atom("p"), Atom("p"))).size == 2
+        table = analyze(And(Atom("p"), Atom("p")))
+        assert table.size == 2
+        assert table.parent_ids[table.id_of[Atom("p")]] == (table.root_id,)  # listed once
         f = parse_formula("F[0,3] p | F[0,3] p")
         assert analyze(f).size == 3
 
@@ -133,7 +135,8 @@ class TestTable:
         for node_id in range(1, table.size + 1):
             for child in table.child_ids[node_id]:
                 assert node_id in table.parent_ids[child]
-        assert table.parent_ids[table.root_id] == frozenset()
+        assert table.parent_ids[table.root_id] == ()
+        assert all(list(ps) == sorted(set(ps)) for ps in table.parent_ids.values())
 
     @settings(max_examples=200, deadline=None)
     @given(formulas(max_depth=4, max_bound=12, allow_unbounded=True))

@@ -117,11 +117,19 @@ TRACE_LINES = st.lists(
 )
 
 
+def _projected(parsed, atoms):
+    """A parse's (atom set, timestamp) pairs cut down to ``atoms``; an error
+    message stays as it is."""
+    if isinstance(parsed, str):
+        return parsed
+    return tuple((element & atoms, t) for element, t in parsed)
+
+
 class TestColumns:
     @settings(max_examples=300, deadline=None)
     @given(TRACE_LINES, st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1),
-           st.booleans())
-    def test_parse_agrees_with_a_per_element_parser(self, lines, endings, ascending):
+           st.booleans(), st.frozensets(st.sampled_from(["p", "q", "r", "p2", "s"])))
+    def test_parse_agrees_with_a_per_element_parser(self, lines, endings, ascending, atoms):
         if ascending:  # mostly valid traces: timestamps made increasing
             stamp = 0
             for n, line in enumerate(lines):
@@ -134,7 +142,11 @@ class TestColumns:
         ).encode()
         for split in (data.splitlines(), data.splitlines(keepends=True),
                       data.decode().splitlines(keepends=True)):
-            assert _parsed(parse_trace_lines, split) == _parsed(naive_parse, split)
+            want = _parsed(naive_parse, split)
+            assert _parsed(parse_trace_lines, split) == want
+            # reading only some atoms validates every line all the same
+            filtered = _parsed(lambda lines: parse_trace_lines(lines, atoms), split)
+            assert filtered == _projected(want, atoms)
 
     def test_repeated_and_missing_atoms(self):
         w = parse_trace_lines(["5 p p", "6 q", "7"])
@@ -142,6 +154,11 @@ class TestColumns:
         assert list(w.column("p")) == [1, 0, 0]
         assert list(w.column("absent")) == [0, 0, 0]
         assert w == word((("p",), 5), (("q",), 6), ((), 7))
+        # only the asked atoms that hold somewhere get a column
+        w = parse_trace_lines(["5 p p", "6 q", "7"], atoms=["p", "absent"])
+        assert w.atoms == {"p"}
+        assert w == word((("p",), 5), ((), 6), ((), 7))
+        assert parse_trace_lines(["5 p", "6 q"], atoms=()).atoms == frozenset()
 
     def test_word_of_a_generated_trace_is_small(self):
         buf = io.BytesIO()
