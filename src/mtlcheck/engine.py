@@ -77,6 +77,7 @@ record-by-record mapper oracle.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -225,9 +226,11 @@ COMPACT_AFTER = 32
 class WindowState:
     """A window reducer's buffer between calls over consecutive blocks of
     one key's stream: ``win[head:]`` holds the live entries, ``far`` is the
-    probe head, and ``peak`` the most live entries seen."""
+    probe head, and ``peak`` the most live entries seen.  The entries are
+    instants, at most the last timestamp, so ``win`` holds them as 8-byte
+    machine integers (``array('q')``), not as int objects."""
 
-    win: list[int] = field(default_factory=list)
+    win: array = field(default_factory=lambda: array("q"))
     head: int = 0
     far: int = 0
     peak: int = 0
@@ -277,7 +280,9 @@ def reduce_window(
     that a cut discarded); ``far`` skips entries beyond the interval's
     upper edge, which never come back in range because instants only
     decrease.  A probe then reads the farthest live entry, ``win[far]``, so
-    each is amortized O(1).  Evicted slots are dropped in bulk once they
+    each is amortized O(1).  Reading an entry of the array makes an int
+    object, so the spread is checked only after a push and a probe reads
+    each entry once.  Evicted slots are dropped in bulk once they
     pass an eighth of the live ones (see ``COMPACT_AFTER``), so memory
     stays proportional to the window, not to the stream.  ``key`` names
     the key in errors; it is formatted only when one is raised.
@@ -303,9 +308,12 @@ def reduce_window(
     # truth bits when admit_any is false, as it is for until; -1 matches none
     cut_want = -1 if cut_id is None else (cut_id << 3) | POSITION_FLAG
     out_bits = out_key << 3
+    if up is None:
+        up = 1 << 64  # exceeded by no distance between instants
     if state is None:
         state = WindowState()
     win, head, far, peak = state.win, state.head, state.far, state.peak
+    end = len(win)
     compact_at = COMPACT_AFTER  # evicted slots past which the rule is checked again
     outputs: list[int] = []
     i = 0
@@ -341,11 +349,11 @@ def reduce_window(
             r = records[i]
             if (r >> TAU_SHIFT) != tau:
                 break
-        end = len(win)
-        if head < end:
+        if len(win) != end:  # only a new entry, at tau, moves the spread or the peak
+            end = len(win)
             if span is not None:
-                nearest = win[-1]
-                while win[head] - nearest > span:
+                limit = tau + span
+                while win[head] > limit:
                     head += 1
             if end - head > peak:
                 peak = end - head
@@ -360,10 +368,15 @@ def reduce_window(
         if emit:
             if far < head:
                 far = head
-            if up is not None:
-                while far < end and win[far] - tau > up:
-                    far += 1
-            val = (far < end and win[far] - tau >= lo) != universal
+            limit = tau + up
+            while far < end:  # each entry is read once per probe
+                entry = win[far]
+                if entry <= limit:
+                    val = (entry - tau >= lo) != universal
+                    break
+                far += 1
+            else:
+                val = universal
             outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
         if cut:
             # a failing left operand at this position cuts continuity for

@@ -8,22 +8,27 @@ like ``bytes.splitlines``, so ``\\n``, ``\\r\\n`` and a lone ``\\r`` end a line,
 while ``\\x0c``, ``\\x85`` and ``\\u2028`` stay inside one and separate its
 tokens.  Timestamps must be strictly increasing and strictly positive.
 
-A parsed word is stored by column: one tuple of timestamps and, per atom,
-one byte per element flagging where the atom holds.  A 10,500-element
-trace over 21 atoms takes about 0.58 MiB this way, where one frozenset of
+A parsed word is stored by column: one ``array('q')`` of timestamps, 8 B
+per element, and, per atom, one byte per element flagging where the atom
+holds.  Timestamps therefore range from 1 to ``TIMESTAMP_MAX`` (2**63 - 1,
+292 years of nanoseconds); a larger one is a line error.  A 10,500-element
+trace over 21 atoms takes about 0.42 MiB this way, where one frozenset of
 atom strings per element took about 10.5 MiB.  A parse can be asked for
-some atoms only (a check asks for its formula's), and then keeps 10.5 KB
-per atom besides the 0.36 MiB of timestamps; it validates every line all
-the same.
+some atoms only (a check asks for its formula's), and then keeps about
+16 KB per atom besides about 90 KB of timestamps; it validates every line
+all the same.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left
 from itertools import chain
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Union
+
+TIMESTAMP_MAX = (1 << 63) - 1  # the largest timestamp an 8-byte signed integer holds
 
 
 class TraceError(ValueError):
@@ -41,34 +46,46 @@ class TimedWord:
     """A finite sequence of elements, each a set of atoms and an integer
     timestamp, stored by column.
 
-    ``timestamps`` holds every element's timestamp, strictly increasing and
-    positive.  Each atom has one flag column: byte ``i`` is 1 when the atom
-    holds at element ``i`` and 0 when it does not.  ``column`` is the one
-    reader of the flags, so no other module depends on how they are stored.
-    A word is built from its timestamps and a mapping from atoms to their
-    flag columns; ``word`` builds one from (atoms, timestamp) pairs and
-    ``parse_trace_lines`` from trace text.
+    ``timestamps`` is an ``array('q')`` of every element's timestamp,
+    strictly increasing and from 1 to ``TIMESTAMP_MAX``; it reads like a
+    tuple of ints (indexing, slicing, ``bisect``) and holds each in 8 B.
+    Each atom has one flag column: byte ``i`` is 1 when the atom holds at
+    element ``i`` and 0 when it does not.  ``column`` is the one reader of
+    the flags, so no other module depends on how they are stored.  A word
+    is built from its timestamps and a mapping from atoms to their flag
+    columns; ``word`` builds one from (atoms, timestamp) pairs and
+    ``parse_trace_lines`` from trace text.  Callers read the timestamps
+    and columns and never change them.
     """
 
     __slots__ = ("timestamps", "_columns", "_absent")
 
     def __init__(self, timestamps: Iterable[int], columns: Mapping[str, bytearray]) -> None:
-        self.timestamps: tuple[int, ...] = tuple(timestamps)
-        if not self.timestamps:
+        timestamps = tuple(timestamps)
+        if not timestamps:
             raise TraceError("a timed word needs at least one element")
         previous = 0
-        for timestamp in self.timestamps:
+        for timestamp in timestamps:
             if timestamp <= previous:
                 raise TraceError(
                     f"timestamps must be strictly increasing and positive, got {timestamp} after {previous}"
                 )
             previous = timestamp
-        n = len(self.timestamps)
+        if previous > TIMESTAMP_MAX:
+            raise TraceError(f"timestamp {previous} is out of range")
+        n = len(timestamps)
         for atom, flags in columns.items():
             if len(flags) != n:
                 raise TraceError(f"atom {atom!r} has {len(flags)} flags for {n} elements")
-        self._columns = dict(columns)
-        self._absent = bytes(n)
+        self.timestamps, self._columns, self._absent = array("q", timestamps), dict(columns), bytes(n)
+
+    @classmethod
+    def _from_checked(cls, timestamps: array, columns: dict[str, bytearray]) -> "TimedWord":
+        """A word over timestamps and columns its builder has checked as
+        ``__init__`` does, taken as they are, without a copy."""
+        self = cls.__new__(cls)
+        self.timestamps, self._columns, self._absent = timestamps, columns, bytes(len(timestamps))
+        return self
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -82,7 +99,7 @@ class TimedWord:
         )
 
     def __hash__(self) -> int:
-        return hash(self.timestamps)
+        return hash(self.timestamps.tobytes())
 
     def __repr__(self) -> str:
         return f"TimedWord({len(self)} elements, atoms {sorted(self._columns)})"
@@ -120,17 +137,6 @@ def word(*elements: tuple[Iterable[str], int]) -> TimedWord:
     return TimedWord((t for _, t in elements), columns)
 
 
-def _decode(line: Union[str, bytes], number: int) -> str:
-    if isinstance(line, str):
-        return line
-    try:
-        return line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceError(
-            f"byte 0x{line[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
-        ) from None
-
-
 def parse_trace_lines(
     lines: Iterable[Union[str, bytes]], atoms: Optional[Iterable[str]] = None
 ) -> TimedWord:
@@ -139,33 +145,49 @@ def parse_trace_lines(
     The columns are built in the same pass: each line appends a timestamp
     and sets its atoms' flags, so nothing of a line but those outlives it.
     Flag columns grow by doubling a shared capacity and are cut to the
-    element count at the end.
+    element count in place at the end.  The lines' checks are those of
+    ``TimedWord``, so the word is built without a second pass over it.
 
     With ``atoms`` given, only those atoms get a column (and only those
     that hold somewhere), as the mapper of a MapReduce check reads only
     the formula's propositions; every line is still decoded, split and
     its timestamp checked, so the errors are those of a full parse.
     """
-    timestamps: list[int] = []
+    timestamps = array("q")
     columns: dict[str, bytearray] = {}
     wanted = None  # (atom, column) per atom to read, or None to read every atom
     if atoms is not None:
         wanted = [(atom, columns.setdefault(atom, bytearray())) for atom in set(atoms)]
     capacity = 0
+    previous = 0
     for number, raw in enumerate(lines, start=1):
-        tokens = _decode(raw, number).split()
+        try:
+            tokens = (raw if isinstance(raw, str) else raw.decode()).split()
+        except UnicodeDecodeError as exc:
+            raise TraceError(
+                f"byte 0x{raw[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
+            ) from None
         if not tokens or tokens[0].startswith("#"):
             continue
         stamp = tokens[0]
         if not (stamp.isascii() and stamp.isdigit()):
             raise TraceError(f"timestamp {stamp!r} is not an integer", number)
-        timestamp = int(stamp)
+        try:
+            timestamp = int(stamp)
+        except ValueError:  # more digits than int() reads: in range only if most are leading zeros
+            digits = stamp.lstrip("0")
+            if len(digits) > len(str(TIMESTAMP_MAX)):
+                raise TraceError(f"timestamp of {len(digits)} digits is out of range", number) from None
+            timestamp = int(digits or "0")
         if timestamp <= 0:
             raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
-        if timestamps and timestamp <= timestamps[-1]:
+        if timestamp <= previous:
             raise TraceError(
-                f"non-monotonic timestamp {timestamp} (previous was {timestamps[-1]})", number
+                f"non-monotonic timestamp {timestamp} (previous was {previous})", number
             )
+        if timestamp > TIMESTAMP_MAX:
+            raise TraceError(f"timestamp {timestamp} is out of range", number)
+        previous = timestamp
         index = len(timestamps)
         timestamps.append(timestamp)
         if index == capacity:
@@ -187,8 +209,10 @@ def parse_trace_lines(
     if not timestamps:
         raise TraceError("empty trace: checking needs at least one element")
     n = len(timestamps)
-    return TimedWord(
-        timestamps, {atom: flags[:n] for atom, flags in columns.items() if 1 in flags}
+    for flags in columns.values():
+        del flags[n:]
+    return TimedWord._from_checked(
+        timestamps, {atom: flags for atom, flags in columns.items() if 1 in flags}
     )
 
 

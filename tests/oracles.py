@@ -41,7 +41,7 @@ from mtlcheck.formula import (
     Or,
     Until,
 )
-from mtlcheck.trace import TimedWord, TraceError, word
+from mtlcheck.trace import TIMESTAMP_MAX, TimedWord, TraceError, word
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +103,8 @@ def naive_parse(lines: Iterable) -> tuple[tuple[frozenset[str], int], ...]:
             raise TraceError(
                 f"non-monotonic timestamp {timestamp} (previous was {previous})", number
             )
+        if timestamp > TIMESTAMP_MAX:
+            raise TraceError(f"timestamp {timestamp} is out of range", number)
         previous = timestamp
         pairs.append((frozenset(tokens[1:]), timestamp))
     if not pairs:

@@ -252,6 +252,29 @@ class TestCheck:
         assert captured.err.startswith("error:") and "is not an integer" in captured.err
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("stamp, message", [
+        ("9223372036854775808", "timestamp 9223372036854775808 is out of range"),
+        ("99999999999999999999", "timestamp 99999999999999999999 is out of range"),
+        ("9" * 5000, "timestamp of 5000 digits is out of range"),
+    ])
+    def test_out_of_range_timestamp_exit_2(self, capsys, tmp_path, stamp, message):
+        path = tmp_path / "big.txt"
+        path.write_text(f"1 p\n{stamp} p\n", encoding="utf-8")
+        assert main(["check", str(path), "-f", "F[0,5] p"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: line 2: {message}\n"
+
+    def test_largest_timestamp_checks(self, capsys, tmp_path):
+        path = tmp_path / "max.txt"
+        path.write_text(f"1 q\n{2**63 - 1} p\n", encoding="utf-8")
+        assert main(["check", str(path), "-f", "F p"]) == 0
+        assert capsys.readouterr().out == "VERDICT: true\n"
+        # leading zeros past int()'s digit limit still read as the value
+        path.write_text(f"1 q\n{'0' * 5000}2 p\n", encoding="utf-8")
+        assert main(["check", str(path), "-f", "F[1,1] p"]) == 0
+        assert capsys.readouterr().out == "VERDICT: true\n"
+
     def test_internal_error_exit_2(self, capsys, trace_file, monkeypatch):
         def broken(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded\nwhile checking")

@@ -442,6 +442,22 @@ class TestWindowState:
         assert (outputs, peak) == (whole, whole_peak)
         assert peak // 8 > engine.COMPACT_AFTER
 
+    def test_buffer_holds_at_most_12_bytes_per_record(self):
+        # G[0,9999] over 10,000 violations buffers every one of them
+        records = [pack_record(t, LEFT, False, True, False) for t in range(10_000, 0, -1)]
+        state = engine.WindowState()
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            outputs, peak = reduce_window(records, LEFT, Interval(0, 9_999), KEY,
+                                          universal=True, state=state)
+            del outputs
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert peak == len(state.win) - state.head == 10_000
+        assert grown <= 12 * peak, f"the buffer grew {grown / peak:.1f} B per record"
+
 
 class TestReducers:
     def _window_run(self, formula_text, w):

@@ -25,7 +25,7 @@ class TestTimedWord:
     def test_basic_accessors(self):
         w = word((("p", "q"), 3), ((), 5), (("p",), 9))
         assert len(w) == 3
-        assert w.timestamps == (3, 5, 9)
+        assert tuple(w.timestamps) == (3, 5, 9)
         assert atoms_at(w, 0) == frozenset({"p", "q"})
         assert atoms_at(w, 1) == frozenset()
         assert w.timestamp_at(2) == 9
@@ -44,6 +44,15 @@ class TestTimedWord:
             word()
         with pytest.raises(TraceError, match="atom 'p' has 1 flags for 2 elements"):
             TimedWord((1, 2), {"p": bytearray(1)})
+        with pytest.raises(TraceError, match=r"^timestamp 9223372036854775808 is out of range$"):
+            TimedWord((1, 2**63), {})
+        assert tuple(TimedWord((1, 2**63 - 1), {}).timestamps) == (1, 2**63 - 1)
+
+    def test_words_equal_and_hash_by_content(self):
+        a = word((("p",), 1), (("q",), 4))
+        b = parse_trace_lines(["1 p", "4 q"])
+        assert a == b and hash(a) == hash(b)
+        assert a != word((("p",), 1), (("q",), 5))
 
 
 class TestParsing:
@@ -51,7 +60,7 @@ class TestParsing:
         lines = ["1 p", "2 p", "4", "6 p", "8 p", "9", "10"]
         w = parse_trace_lines(lines)
         assert len(w) == 7
-        assert w.timestamps == (1, 2, 4, 6, 8, 9, 10)
+        assert tuple(w.timestamps) == (1, 2, 4, 6, 8, 9, 10)
         p_holds = [i for i in range(len(w)) if "p" in atoms_at(w, i)]
         assert [w.timestamp_at(i) for i in p_holds] == [1, 2, 6, 8]
 
@@ -61,11 +70,11 @@ class TestParsing:
 
     def test_comments_and_blanks_are_skipped(self):
         w = parse_trace_lines(["# header", "", "1 p", "   ", "# mid", "2 q"])
-        assert w.timestamps == (1, 2)
+        assert tuple(w.timestamps) == (1, 2)
 
     def test_bytes_lines_accepted(self):
         w = parse_trace_lines([b"1 p", b"2 q"])
-        assert w.timestamps == (1, 2)
+        assert tuple(w.timestamps) == (1, 2)
 
     def test_line_numbered_errors(self):
         with pytest.raises(TraceError, match="line 2"):
@@ -79,6 +88,8 @@ class TestParsing:
             parse_trace_lines(["0 p"])
         with pytest.raises(TraceError, match="line 2: byte 0xff at column 3"):
             parse_trace_lines([b"1 p", b"2 \xff"])
+        with pytest.raises(TraceError, match=r"^line 2: timestamp 99999999999999999999 is out of range$"):
+            parse_trace_lines(["1 p", "99999999999999999999 p"])
 
     def test_empty_trace_rejected(self):
         with pytest.raises(TraceError):
@@ -88,7 +99,7 @@ class TestParsing:
 
     def test_stream_parsing(self):
         w = parse_trace(io.BytesIO(b"1 p\n2 q\n"))
-        assert w.timestamps == (1, 2)
+        assert tuple(w.timestamps) == (1, 2)
 
 
 def _parsed(parse, lines):
@@ -190,6 +201,23 @@ class TestColumns:
         assert peak <= 2.2 * held, f"parse peak {peak / held:.2f}x the word"
 
 
+class TestStorage:
+    """Timestamps are held as 8-byte machine integers, not int objects."""
+
+    def test_one_atom_word_holds_at_most_12_bytes_per_element(self):
+        buf = io.BytesIO()
+        generate_trace(GeneratorConfig(n=10_500, m=20, seed=1), buf)
+        lines = buf.getvalue().splitlines()
+        tracemalloc.start()
+        try:
+            w = parse_trace_lines(lines, atoms=["p"])
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.atoms == {"p"}
+        assert held <= 12 * len(w), f"the word holds {held / len(w):.1f} B per element"
+
+
 class _Trickle:
     """A byte stream whose reads return at most ``step`` bytes, so that
     lines and ``\\r\\n`` pairs straddle reads."""
@@ -260,7 +288,7 @@ class TestGenerator:
         buf.seek(0)
         w = parse_trace(buf)
         assert len(w) == 40
-        assert w.timestamps == tuple(range(1, 41))
+        assert tuple(w.timestamps) == tuple(range(1, 41))
 
     def test_force_p_holds_everywhere(self):
         buf = io.BytesIO()
