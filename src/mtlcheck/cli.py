@@ -42,9 +42,8 @@ from .semantics import (
     LAZY,
     POINT,
     EvaluationError,
-    eval_lazy,
-    eval_point,
     eval_table,
+    verdict,
 )
 from .trace import GeneratorConfig, TraceError, generate_trace, parse_trace, split_lines
 from .transforms import TransformError, decompose, lazy_translation
@@ -76,17 +75,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _checked_formula_for_oracle(formula, semantics: str, budget: Optional[int]):
-    """The formula the oracle route actually evaluates: the user formula in
-    point semantics, its lazy translation in lazy semantics, and the
-    decomposed translation when a window budget is given."""
-    if budget is not None:
-        return decompose(lazy_translation(formula), budget)
-    if semantics == LAZY:
-        return lazy_translation(formula)
-    return formula
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     semantics = args.semantics
     anchor = args.anchor
@@ -111,19 +99,20 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         source = nullcontext(sys.stdin.buffer) if args.trace == "-" else open(args.trace, "rb")
         with source as fh:
-            word, first_instant = input_read(split_lines(fh), atoms)
+            word, _ = input_read(split_lines(fh), atoms)
     except (TraceError, OSError) as exc:
         return _fail(str(exc))
 
-    anchor_instant = 0 if anchor == ANCHOR_ZERO else first_instant
-
+    # the oracle and the table read the formula itself in point semantics;
+    # otherwise its lazy translation, decomposed when a budget is given
+    reading = LAZY if budget is not None or semantics == LAZY else POINT
     try:
+        if args.oracle or args.table is not None:
+            target = formula if reading == POINT else lazy_translation(formula)
+            if budget is not None:
+                target = decompose(target, budget)
         if args.oracle:
-            target = _checked_formula_for_oracle(formula, semantics, budget)
-            if budget is not None or semantics == LAZY:
-                verdict_value = eval_lazy(word, anchor_instant, target)
-            else:
-                verdict_value = eval_point(word, 0, target)
+            verdict_value = verdict(word, target, reading, anchor)
             stats = None
         else:
             result = run_pipeline(
@@ -140,10 +129,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.table is not None:
         try:
-            target = _checked_formula_for_oracle(formula, semantics, budget)
-            table = eval_table(word, target, LAZY if (budget is not None or semantics == LAZY) else POINT)
-            text = table.tsv_text()
-        except (TransformError, EvaluationError) as exc:
+            text = eval_table(word, target, reading).tsv_text()
+        except EvaluationError as exc:
             return _fail(str(exc))
         if args.table == "-":
             sys.stdout.write(text)

@@ -94,6 +94,7 @@ from .formula import (
     Or,
     Until,
     analyze,
+    closed_bounds,
     convex_union_with_zero,
     node_interval,
     to_text,
@@ -236,15 +237,6 @@ class WindowState:
     peak: int = 0
 
 
-def _closed_bounds(interval) -> tuple[int, Optional[int]]:
-    """An interval's integer members as closed bounds; upper None when
-    unbounded (timestamps, hence distances, are integers)."""
-    lo = interval.lower if interval.lower_closed else interval.lower + 1
-    if interval.upper is None:
-        return lo, None
-    return lo, interval.upper if interval.upper_closed else interval.upper - 1
-
-
 def _conflict(key, tau: int) -> EngineError:
     return EngineError(f"conflicting duplicate records for {key} at instant {tau}")
 
@@ -298,8 +290,8 @@ def reduce_window(
     17% slower on the decomposed benchmark workload and 20% slower on the
     sparse nested one.
     """
-    lo, up = _closed_bounds(interval)
-    span = _closed_bounds(convex_union_with_zero(interval))[1]
+    lo, up = closed_bounds(interval)
+    span = closed_bounds(convex_union_with_zero(interval))[1]
     sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
     sel_want = (child_id << 3) | (0 if universal else TRUTH_FLAG) | (
         0 if admit_any else POSITION_FLAG
@@ -496,7 +488,6 @@ class PipelineResult:
     stats: RunStats
     table: FormulaTable
     guard_map: Optional[dict[Formula, Formula]]  # None unless streams are collected
-    offsets: dict[int, frozenset[int]]
     streams: Optional[dict[int, list[int]]] = None
 
     def stream_of(self, f: Formula) -> list[int]:
@@ -724,6 +715,5 @@ def run_pipeline(
         stats=stats,
         table=table,
         guard_map=guard_map,
-        offsets=offsets,
         streams=streams,
     )

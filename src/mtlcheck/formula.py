@@ -88,6 +88,15 @@ class Interval:
         return f"{lb}{self.lower},{self.upper}{ub}"
 
 
+def closed_bounds(interval: Interval) -> tuple[int, Optional[int]]:
+    """An interval's integer members as closed bounds; upper None when
+    unbounded (timestamps, hence distances, are integers)."""
+    lo = interval.lower if interval.lower_closed else interval.lower + 1
+    if interval.upper is None:
+        return lo, None
+    return lo, interval.upper if interval.upper_closed else interval.upper - 1
+
+
 def singleton(c: int) -> Interval:
     """The interval [c,c]."""
     return Interval(c, c, True, True)
@@ -389,6 +398,7 @@ def to_text(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 _RESERVED = {"F", "G", "U", "X", "Act", "inf"}
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes "²" and "٣"
 
 
 class _Lexer:
@@ -408,16 +418,16 @@ class _Lexer:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("num", text[i:j], i))
                 i = j
                 continue
-            if ch == "-" and i + 1 < n and text[i + 1].isdigit():
+            if ch == "-" and i + 1 < n and text[i + 1] in _DIGITS:
                 j = i + 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("num", text[i:j], i))
                 i = j

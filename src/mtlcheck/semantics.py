@@ -1,6 +1,6 @@
-"""Reference evaluators over timed words.
+"""The reference evaluator over timed words.
 
-Two interpretations are provided:
+It reads a formula in one of two interpretations:
 
 * point: formulas are judged at trace positions; temporal operators
   quantify over later positions whose timestamp difference falls in the
@@ -10,14 +10,24 @@ Two interpretations are provided:
   position marker hold only at instants that carry a trace element, and
   until's continuity requirement is checked at position instants only.
 
+Each node kind is defined once, for both: only an atom's value at a key,
+the keys an interval reaches from a key, and the positions strictly
+between two keys depend on the interpretation.  A node is a generator
+that yields the (subformula, key) pairs it reads and is sent back their
+values, so a conjunction or a window stops at the first value that
+settles it.  One loop runs the generators from an explicit stack and
+memoizes every value, so a formula thousands of nodes deep (a deep
+decomposition, a long negation chain) costs no recursion.
+
 ``eval_table`` materializes every subformula's value over the full key
 range (positions for point mode, ``[0, horizon]`` for lazy mode) and can be
 exported as TSV.  The pipeline engine is validated against these tables.
 
-Both evaluators read an atom through the word's flag column for it.  The
-lazy evaluator finds the element at an instant, and until's positions
-strictly between an instant and its witness, by bisection on the word's
-timestamps, so a full lazy table costs no scan of the trace per instant.
+Atoms are read through the word's flag column for them.  Point semantics
+finds the positions an interval reaches, and lazy semantics the element
+at an instant and until's positions between an instant and its witness,
+by bisection on the word's timestamps, so no key costs a scan of the
+trace.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from __future__ import annotations
 import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import Generator, Iterable, TextIO
 
 from .formula import (
     Act,
@@ -36,11 +46,11 @@ from .formula import (
     Formula,
     FormulaTable,
     Globally,
-    Interval,
     Not,
     Or,
     Until,
     analyze,
+    closed_bounds,
     node_interval,
     to_text,
 )
@@ -60,138 +70,106 @@ class EvaluationError(ValueError):
     """Raised for queries outside the defined range of an interpretation."""
 
 
-def _witness_instants(t: int, interval: Interval) -> range:
-    """Integer instants t' with t' - t inside the (bounded) interval."""
-    if interval.upper is None:
-        raise EvaluationError("lazy evaluation requires bounded temporal intervals")
-    lower = interval.lower if interval.lower_closed else interval.lower + 1
-    upper = interval.upper if interval.upper_closed else interval.upper - 1
-    return range(t + lower, t + upper + 1)
+_Need = tuple[Formula, int]  # a subformula and the key it is read at
 
 
-class _PointEvaluator:
-    """Memoized evaluation of formulas at trace positions."""
+class _Evaluator:
+    """Memoized evaluation of formulas at trace positions (point) or at
+    integer instants (lazy)."""
 
-    def __init__(self, word: TimedWord) -> None:
+    def __init__(self, word: TimedWord, lazy: bool) -> None:
         self.word = word
-        self.memo: dict[tuple[Formula, int], bool] = {}
+        self.lazy = lazy
+        self.memo: dict[_Need, bool] = {}
 
-    def eval(self, f: Formula, i: int) -> bool:
-        if not 0 <= i < len(self.word):
-            raise EvaluationError(
-                f"position {i} out of range for a trace of length {len(self.word)}"
-            )
-        key = (f, i)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+    def _holds(self, f: Formula, key: int) -> bool:
+        """An atom's or the position marker's value at a key."""
+        i = self.word.index_of(key) if self.lazy else key
+        return i is not None and (type(f) is Act or self.word.column(f.name)[i] == 1)
+
+    def _reach(self, key: int, f: Formula) -> Iterable[int]:
+        """The keys whose distance from ``key`` lies in the temporal node's
+        interval, in increasing order."""
+        lo, up = (f.step, f.step) if type(f) is ExactStep else closed_bounds(f.interval)
+        if self.lazy:
+            if up is None:
+                raise EvaluationError("lazy evaluation requires bounded temporal intervals")
+            return range(key + lo, key + up + 1)
         ts = self.word.timestamps
-        if isinstance(f, Atom):
-            value = self.word.column(f.name)[i] == 1
-        elif isinstance(f, Act):
-            value = True
-        elif isinstance(f, Not):
-            value = not self.eval(f.child, i)
-        elif isinstance(f, And):
-            value = self.eval(f.left, i) and self.eval(f.right, i)
-        elif isinstance(f, Or):
-            value = self.eval(f.left, i) or self.eval(f.right, i)
-        elif isinstance(f, Until):
-            value = False
-            for j in range(i, len(self.word)):
-                if f.interval.upper is not None and ts[j] - ts[i] > f.interval.upper:
-                    break
-                if not f.interval.contains(ts[j] - ts[i]):
+        stop = len(ts) if up is None else bisect_right(ts, ts[key] + up)
+        return range(bisect_left(ts, ts[key] + lo), stop)
+
+    def _between(self, key: int, later: int) -> Iterable[int]:
+        """The keys of the positions strictly between two keys."""
+        if not self.lazy:
+            return range(key + 1, later)
+        ts = self.word.timestamps
+        return ts[bisect_right(ts, key):bisect_left(ts, later)]
+
+    def _node(self, f: Formula, key: int) -> Generator[_Need, bool, bool]:
+        """The value of ``f`` at ``key``, given the values of what it yields."""
+        kind = type(f)  # nodes are never subclassed
+        if kind is Atom or kind is Act:
+            return self._holds(f, key)
+        if kind is Not:
+            return not (yield f.child, key)
+        if kind is And:
+            return (yield f.left, key) and (yield f.right, key)
+        if kind is Or:
+            return (yield f.left, key) or (yield f.right, key)
+        if kind is Until:
+            for later in self._reach(key, f):
+                if not (yield f.right, later):
                     continue
-                if not self.eval(f.right, j):
-                    continue
-                if all(self.eval(f.left, k) for k in range(i + 1, j)):
-                    value = True
-                    break
-        elif isinstance(f, (Eventually, ExactStep)):
-            interval = node_interval(f)
-            value = False
-            for j in range(i, len(self.word)):
-                if interval.upper is not None and ts[j] - ts[i] > interval.upper:
-                    break
-                if interval.contains(ts[j] - ts[i]) and self.eval(f.child, j):
-                    value = True
-                    break
-        elif isinstance(f, Globally):
-            value = True
-            for j in range(i, len(self.word)):
-                if f.interval.upper is not None and ts[j] - ts[i] > f.interval.upper:
-                    break
-                if f.interval.contains(ts[j] - ts[i]) and not self.eval(f.child, j):
-                    value = False
-                    break
-        else:
-            raise TypeError(f"unknown formula node {f!r}")
-        self.memo[key] = value
-        return value
+                for k in self._between(key, later):
+                    if not (yield f.left, k):
+                        break
+                else:
+                    return True
+            return False
+        if kind is Eventually or kind is ExactStep or kind is Globally:
+            # a window stops at its first witness, globally at its first violation
+            sought = kind is not Globally
+            for later in self._reach(key, f):
+                if (yield f.child, later) == sought:
+                    return sought
+            return not sought
+        raise TypeError(f"unknown formula node {f!r}")
 
-
-class _LazyEvaluator:
-    """Memoized evaluation of formulas at integer instants."""
-
-    def __init__(self, word: TimedWord) -> None:
-        self.word = word
-        self.memo: dict[tuple[Formula, int], bool] = {}
-
-    def eval(self, f: Formula, t: int) -> bool:
-        key = (f, t)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(f, Atom):
-            i = self.word.index_of(t)
-            value = i is not None and self.word.column(f.name)[i] == 1
-        elif isinstance(f, Act):
-            value = self.word.index_of(t) is not None
-        elif isinstance(f, Not):
-            value = not self.eval(f.child, t)
-        elif isinstance(f, And):
-            value = self.eval(f.left, t) and self.eval(f.right, t)
-        elif isinstance(f, Or):
-            value = self.eval(f.left, t) or self.eval(f.right, t)
-        elif isinstance(f, Until):
-            value = False
-            ts = self.word.timestamps
-            after_t = bisect_right(ts, t)
-            for tp in _witness_instants(t, f.interval):
-                if not self.eval(f.right, tp):
-                    continue
-                # the positions strictly between t and the witness
-                if all(
-                    self.eval(f.left, ts[k])
-                    for k in range(after_t, bisect_left(ts, tp))
-                ):
-                    value = True
-                    break
-        elif isinstance(f, (Eventually, ExactStep)):
-            value = any(
-                self.eval(f.child, tp)
-                for tp in _witness_instants(t, node_interval(f))
+    def eval(self, f: Formula, key: int) -> bool:
+        if not self.lazy and not 0 <= key < len(self.word):
+            raise EvaluationError(
+                f"position {key} out of range for a trace of length {len(self.word)}"
             )
-        elif isinstance(f, Globally):
-            value = all(
-                self.eval(f.child, tp)
-                for tp in _witness_instants(t, f.interval)
-            )
-        else:
-            raise TypeError(f"unknown formula node {f!r}")
-        self.memo[key] = value
+        memo = self.memo
+        value = memo.get((f, key))
+        if value is not None:
+            return value
+        # each frame is a node being evaluated and its generator; ``value``
+        # is sent into the top one: None to start it, else what it yielded for
+        stack = [((f, key), self._node(f, key))]
+        while stack:
+            need, node = stack[-1]
+            try:
+                wanted = node.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = memo[need] = done.value
+                continue
+            value = memo.get(wanted)
+            if value is None:
+                stack.append((wanted, self._node(*wanted)))
         return value
 
 
 def eval_point(word: TimedWord, position: int, formula: Formula) -> bool:
     """Value of the formula at the given trace position (point semantics)."""
-    return _PointEvaluator(word).eval(formula, position)
+    return _Evaluator(word, lazy=False).eval(formula, position)
 
 
 def eval_lazy(word: TimedWord, instant: int, formula: Formula) -> bool:
     """Value of the formula at the given integer instant (lazy semantics)."""
-    return _LazyEvaluator(word).eval(formula, instant)
+    return _Evaluator(word, lazy=True).eval(formula, instant)
 
 
 def lazy_horizon(word: TimedWord, table: FormulaTable) -> int:
@@ -238,7 +216,6 @@ def eval_table(word: TimedWord, formula: Formula, semantics: str) -> EvalTable:
     table = analyze(formula)
     if semantics == POINT:
         keys = tuple(range(len(word)))
-        evaluator: Union[_PointEvaluator, _LazyEvaluator] = _PointEvaluator(word)
     elif semantics == LAZY:
         for node in table.nodes:
             interval = node_interval(node)
@@ -247,9 +224,9 @@ def eval_table(word: TimedWord, formula: Formula, semantics: str) -> EvalTable:
                     "lazy evaluation requires bounded temporal intervals"
                 )
         keys = tuple(range(0, lazy_horizon(word, table) + 1))
-        evaluator = _LazyEvaluator(word)
     else:
         raise ValueError(f"unknown semantics {semantics!r}")
+    evaluator = _Evaluator(word, lazy=semantics == LAZY)
     rows: dict[int, dict[int, bool]] = {}
     for node_id, node in enumerate(table.nodes, start=1):
         rows[node_id] = {k: evaluator.eval(node, k) for k in keys}

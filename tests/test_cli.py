@@ -23,6 +23,7 @@ from mtlcheck.cli import BENCH_CSV_COLUMNS, main
 from mtlcheck.formula import (
     Eventually,
     ExactStep,
+    analyze,
     fold,
     parse_formula,
     singleton,
@@ -30,10 +31,11 @@ from mtlcheck.formula import (
     with_children,
 )
 from mtlcheck.trace import GeneratorConfig, TraceError, generate_trace, parse_trace_lines
-from mtlcheck.transforms import decompose
+from mtlcheck.transforms import decompose, lazy_translation
 from oracles import elements, random_formula, words
 
 EXAMPLE_TRACE = "1 p\n2 p\n4\n6 p\n8 p\n9\n10\n"
+T4_TRACE = "1 p\n2 q\n3 p\n5 p q\n"
 
 
 @pytest.fixture
@@ -299,6 +301,37 @@ class TestCheck:
         text = "(!" * depth + "p" + ")" * depth if grouped else "!" * depth + "p"
         assert main(["check", trace_file, "-f", text]) == status
         assert capsys.readouterr().out == f"VERDICT: {'true' if status == 0 else 'false'}\n"
+
+    @pytest.mark.parametrize("argv_tail,status", [
+        (["-f", "F[0,300] r", "--k", "1"], 1),
+        (["-f", "F[0,2000] r", "--k", "1"], 1),
+        (["-f", "G[0,300] !r", "--k", "1"], 0),
+        (["-f", "G[0,2000] !r", "--k", "1"], 0),
+        (["--semantics", "lazy", "-f", "F[0,1] " * 3000 + "p"], 0),
+        (["-f", "!" * 5000 + "p"], 0),
+    ], ids=["F300", "F2000", "G300", "G2000", "nested-F3000", "not5000"])
+    def test_oracle_reads_deep_plans(self, capsys, tmp_path, argv_tail, status):
+        # the evaluator runs from an explicit stack, so nesting depth is no
+        # limit: each of these plans is thousands of nodes deep
+        path = tmp_path / "t4.txt"
+        path.write_text(T4_TRACE, encoding="utf-8")
+        assert main(["check", str(path), "--oracle"] + argv_tail) == status
+        captured = capsys.readouterr()
+        assert captured.out == f"VERDICT: {'true' if status == 0 else 'false'}\n"
+        assert captured.err == ""
+
+    def test_table_of_a_deep_plan(self, capsys, tmp_path):
+        path = tmp_path / "t4.txt"
+        path.write_text(T4_TRACE, encoding="utf-8")
+        table = tmp_path / "table.tsv"
+        argv = ["check", str(path), "--table", str(table), "-f", "F[0,300] p", "--k", "1"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "VERDICT: true\n"
+        rows = table.read_text(encoding="utf-8").splitlines()
+        plan = decompose(lazy_translation(parse_formula("F[0,300] p")), 1)
+        assert len(rows) == 1 + analyze(plan).size  # a header, then one row per key
+        assert rows[0].split("\t")[2] == "1"
+        assert rows[-1].split("\t")[2] == "⊤"  # the root, read at the first element
 
     def test_missing_trace_file_exit_2(self, capsys, tmp_path):
         assert main(["check", str(tmp_path / "nope.txt"), "-f", "p"]) == 2

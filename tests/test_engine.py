@@ -39,7 +39,15 @@ from mtlcheck.formula import (
     postorder,
     to_text,
 )
-from mtlcheck.semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT, eval_lazy, eval_point
+from mtlcheck.semantics import (
+    ANCHOR_FIRST,
+    ANCHOR_ZERO,
+    LAZY,
+    POINT,
+    _Evaluator,
+    eval_lazy,
+    eval_point,
+)
 from mtlcheck.trace import GeneratorConfig, TraceError, generate_trace, parse_trace_lines, word
 from mtlcheck.transforms import lazy_translation, pipeline_formula
 from oracles import (
@@ -63,6 +71,9 @@ EXAMPLE_WORD = word(
 )
 
 EXAMPLE_LINES = ["1 p", "2 p", "4", "6 p", "8 p", "9", "10"]
+
+T4_WORD = word((("p",), 1), (("q",), 2), (("p",), 3), (("p", "q"), 5))
+UNIT_WORD = word(*(((("p",), ("q",), ("p", "q"), ())[t % 4], t) for t in range(1, 9)))
 
 
 def truths(records):
@@ -552,8 +563,9 @@ class TestRunPipeline:
         res = run_pipeline(w, parse_formula("F[3,7] p"), semantics=LAZY,
                            window_budget=3, collect_streams=True)
         positions = set(w.timestamps)
+        offsets = compute_offsets(res.table, 15 - 7)  # the horizon from the first element
         for node_id, stream in res.streams.items():
-            offs = res.offsets[node_id]
+            offs = offsets[node_id]
             # no instant past the last element: every key is constant there
             want = positions | {t + o for t in positions for o in offs if o and t + o <= 15}
             assert {record_tau(r) for r in stream} == want
@@ -718,7 +730,7 @@ class TestTail:
         w = word((("p",), 1), (("p",), 2))
         res = run_pipeline(w, parse_formula("F[3,7] p"), semantics=LAZY, window_budget=2,
                            anchor=ANCHOR_ZERO, collect_streams=True)
-        assert max(max(offs) for offs in res.offsets.values()) == 2
+        assert max(max(offs) for offs in compute_offsets(res.table, 2).values()) == 2
         assert {record_tau(r) for s in res.streams.values() for r in s} == {0, 1, 2}
         assert res.verdict is False
 
@@ -749,6 +761,22 @@ class TestAgainstTheEvaluators:
             for r in res.streams[res.table.id_of[node]]:
                 want = eval_lazy(w, record_tau(r), res.guard_map[node])
                 assert want == record_truth(r)
+
+    @pytest.mark.parametrize("text", ["F[0,1000] r", "G[0,300] !r", "p U[0,300] q"])
+    @pytest.mark.parametrize("w", [T4_WORD, UNIT_WORD], ids=["gapped", "unit-spaced"])
+    def test_deep_plan_streams_match_the_lazy_evaluator(self, text, w):
+        # plans hundreds of hops deep; one evaluator's memo serves every
+        # record, as a fresh one per record would re-read the whole chain
+        f = parse_formula(text)
+        res = run_pipeline(w, f, semantics=LAZY, window_budget=1, collect_streams=True)
+        assert res.table.height > 300
+        assert res.verdict == eval_point(w, 0, f)
+        evaluator = _Evaluator(w, lazy=True)
+        for node in res.table.nodes:
+            if isinstance(node, Atom):
+                continue
+            for r in res.streams[res.table.id_of[node]]:
+                assert evaluator.eval(res.guard_map[node], record_tau(r)) == record_truth(r)
 
 
 def _shown(res):

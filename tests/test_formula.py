@@ -60,7 +60,7 @@ class TestParsing:
 
     def test_errors_are_reported(self):
         for bad in ("F[-1,3] p", "F[5,3] p", "Act", "p q", "F(3,2] p", "p &",
-                    "", "F[2,] p", "(p", "p U[3,3) q"):
+                    "", "F[2,] p", "(p", "p U[3,3) q", "F[0,²] p", "F[0,٣] p"):
             with pytest.raises(FormulaError):
                 parse_formula(bad)
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtlcheck.engine import _closed_bounds
+from mtlcheck.formula import closed_bounds as _closed_bounds
 from mtlcheck.formula import (
     FULL,
     FormulaError,
