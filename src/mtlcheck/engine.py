@@ -57,6 +57,35 @@ block of each key's inputs and outputs, whatever the trace's length; a
 key's ``--stats`` row sums its counts and times over the blocks, and
 ``iterations`` is still the formula's height.
 
+A check reads one verdict, at the anchor instant, so each key is reduced
+only up to its *reach*, the last instant any reader reads it at: the
+root's reach is the anchor, and a child's is the largest, over its
+parents, of the parent's reach plus its upper bound (0 for a boolean key,
+the step for an exact step; an unbounded interval reaches the end).  This
+is sound because a key's value at an instant t depends only on its
+operands' values from t to t plus its upper bound: a window key buffers
+witnesses from that range, a boolean key joins its operands at t, and an
+exact step reads its operand at t plus the step.  By induction from the
+root, a key's outputs up to its reach are what a run over the whole
+trace gives there, if each parent receives its operands' records up to
+its reach plus its upper bound.  No element lies between the last one at
+or before the deepest reach and that reach, so a trace cut after that
+element gives the same values up to every reach (what a step reads past
+the last element is false either way; see below).  So the backward walk
+starts at that element and reads the trace as if it ended there (its
+``gapped`` test and offset horizon come from that prefix); ``route``
+hands each parent only the records up to its reach plus its upper bound,
+all its operands alike, so a boolean key never misses an operand; each
+key takes only its markers up to its reach; and a key with nothing to
+take in a block is not called.  A key's outputs past its reach, made from
+cut inputs, reach no reader.  A run that collects streams reads every
+key to the end, so its streams are full.  ``--stats`` reports the
+elements the walk covered as ``elements_reduced``: ``F[0,10] p`` reduces
+11 elements of a unit-spaced trace however long it is (the whole trace
+is still parsed and checked first).  The slicing of time by a formula's
+lookahead is that of Basin et al., "Scalable offline monitoring of
+temporal specifications" (FMSD 2016).
+
 Markers go only to gaps between positions up to the last one, and no key
 emits a record past the last element: the decomposition puts every exact
 step over an eventually or until chain, which is false where no position
@@ -78,8 +107,9 @@ from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import neg
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .formula import (
@@ -97,10 +127,11 @@ from .formula import (
     closed_bounds,
     convex_union_with_zero,
     node_interval,
-    to_text,
+    node_texts,
+    postorder,
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
-from .trace import TimedWord, parse_trace_lines
+from .trace import TIMESTAMP_MAX, TimedWord, parse_trace_lines
 from .transforms import pipeline_formula
 
 ACT_CHILD = 0
@@ -202,6 +233,29 @@ def compute_offsets(table: FormulaTable, horizon: int) -> dict[int, frozenset[in
     return offsets
 
 
+END = TIMESTAMP_MAX + 1  # a reach past every element: the whole trace is read
+
+
+def compute_reach(table: FormulaTable, root_reach: int) -> tuple[list[int], list[int]]:
+    """Two lists indexed by key id: each key's reach, the last instant any
+    reader reads it at, and the last instant it reads its operands at, its
+    reach plus its upper bound (0 for boolean keys, the step for exact
+    steps, ``END`` for an unbounded interval; capped at ``END``).  The
+    root's reach is ``root_reach``, and a child's is the latest instant
+    any of its parents reads it at.  Ids are assigned children first, so
+    decreasing ids visit every parent before its children."""
+    reach = [root_reach] * (table.size + 1)
+    reads = [root_reach] * (table.size + 1)
+    for node_id in range(table.size, 0, -1):
+        interval = node_interval(table.node(node_id))
+        up = 0 if interval is None else closed_bounds(interval)[1]
+        last = reads[node_id] = END if up is None else min(reach[node_id] + up, END)
+        for child in table.child_ids[node_id]:
+            if reach[child] < last:
+                reach[child] = last
+    return reach, reads
+
+
 def shuffle_sort(records: list[int]) -> list[int]:
     """Order one key's records for reduction: timestamps descending; within
     a timestamp real records first (higher child ids first), then sanctioned
@@ -273,10 +327,13 @@ def reduce_window(
     upper edge, which never come back in range because instants only
     decrease.  A probe then reads the farthest live entry, ``win[far]``, so
     each is amortized O(1).  Reading an entry of the array makes an int
-    object, so the spread is checked only after a push and a probe reads
-    each entry once.  Evicted slots are dropped in bulk once they
-    pass an eighth of the live ones (see ``COMPACT_AFTER``), so memory
-    stays proportional to the window, not to the stream.  ``key`` names
+    object, so the spread is checked only after a push, the head entry's
+    value is kept from the eviction that read it, and a probe reads each
+    other entry once: when every instant pushes one entry and evicts one,
+    as in a full window, an instant reads one entry.  Evicted slots are
+    dropped in bulk once they pass an eighth of the live ones (see
+    ``COMPACT_AFTER``), so memory stays proportional to the window, not to
+    the stream.  ``key`` names
     the key in errors; it is formatted only when one is raised.
 
     With ``state`` given, the buffer and its heads are taken from it and
@@ -306,6 +363,7 @@ def reduce_window(
         state = WindowState()
     win, head, far, peak = state.win, state.head, state.far, state.peak
     end = len(win)
+    head_val = win[head] if head < end else 0  # win[head] while the buffer is not empty
     compact_at = COMPACT_AFTER  # evicted slots past which the rule is checked again
     outputs: list[int] = []
     i = 0
@@ -342,11 +400,14 @@ def reduce_window(
             if (r >> TAU_SHIFT) != tau:
                 break
         if len(win) != end:  # only a new entry, at tau, moves the spread or the peak
+            if head == end:  # the buffer was empty: the new entry is its head
+                head_val = tau
             end = len(win)
             if span is not None:
                 limit = tau + span
-                while win[head] > limit:
+                while head_val > limit:
                     head += 1
+                    head_val = win[head]
             if end - head > peak:
                 peak = end - head
         if head > compact_at:
@@ -361,8 +422,8 @@ def reduce_window(
             if far < head:
                 far = head
             limit = tau + up
-            while far < end:  # each entry is read once per probe
-                entry = win[far]
+            while far < end:  # each entry is read once per probe, the head not again
+                entry = head_val if far == head else win[far]
                 if entry <= limit:
                     val = (entry - tau >= lo) != universal
                     break
@@ -373,8 +434,10 @@ def reduce_window(
         if cut:
             # a failing left operand at this position cuts continuity for
             # every earlier instant toward witnesses strictly beyond it
-            while head < end and win[head] > tau:
+            while head < end and head_val > tau:
                 head += 1
+                if head < end:
+                    head_val = win[head]
     state.head, state.far, state.peak = head, far, peak
     return outputs, peak
 
@@ -472,13 +535,17 @@ class RunStats:
     verdict: bool
     iterations: int
     elements: int
+    elements_reduced: int  # the elements the backward walk covered
     peak_win_records: int
     reducers: list[ReducerStats] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         """The ``--stats`` envelope: the fields above, rows as dicts with
-        their keys' texts."""
-        rows = [dict(vars(row), reducer_key=to_text(row.reducer_key)) for row in self.reducers]
+        their keys' texts.  The rows are in order of height, so the last
+        is the root's, and every key's text comes from one shared pass
+        over the root's nodes."""
+        texts = node_texts(postorder(self.reducers[-1].reducer_key)) if self.reducers else {}
+        rows = [dict(vars(row), reducer_key=texts[row.reducer_key]) for row in self.reducers]
         return dict(vars(self), reducers=rows)
 
 
@@ -572,9 +639,10 @@ def run_pipeline(
     1; the keys are always reduced one at a time, so it does not change
     the run.
 
-    With ``collect_streams`` the result keeps every key's output stream
-    and the guard map the streams are checked against; without it both
-    are None.
+    With ``collect_streams`` the result keeps every key's output stream,
+    over the whole trace, and the guard map the streams are checked
+    against; without it both are None and each key is reduced only up to
+    its reach (see the module docstring).
     """
     if semantics not in (POINT, LAZY):
         raise EngineError(f"unknown semantics {semantics!r}")
@@ -602,9 +670,14 @@ def run_pipeline(
     if table.size >= CHILD_MASK:
         raise EngineError("formula too large for the record encoding")
     positions = word.timestamps
-    first, last = positions[0], positions[-1]
-    gapped = len(positions) <= last - first
-    anchor_instant = 0 if anchor == ANCHOR_ZERO else first
+    anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
+    reach, reads = compute_reach(table, END if collect_streams else anchor_instant)
+    # the walk covers the elements up to the deepest reach (at least the
+    # first, whose block holds the anchor), and reads the trace as if it
+    # ended there
+    walked = max(bisect_right(positions, max(reach)), 1)
+    first, last = positions[0], positions[walked - 1]
+    gapped = walked <= last - first
     offsets = compute_offsets(table, last - anchor_instant)
     reducers = {
         table.id_of[node]: _reducer(node, table)
@@ -617,7 +690,7 @@ def run_pipeline(
     rows = {kid: ReducerStats(table.node(kid), 0, 0, 0, 0, 0.0) for kid in order}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
     root_id = table.root_id
-    root_outputs: Optional[list[int]] = None
+    root_outputs: list[int] = []
     # the current block's inboxes and its sanctioned marker records, the
     # latter by offset set, since keys share offset sets; each set's
     # markers are dropped once the last key in the order that has it took
@@ -630,12 +703,28 @@ def run_pipeline(
     # name keeps a consumed inbox or a routed output alive while the next
     # key is reduced.
     def route(key_id: int, records: list[int]) -> None:
+        """Hand a key's block records, timestamps descending, to each parent,
+        cut after the last instant that parent reads its operands at."""
         for parent_id in table.parent_ids[key_id]:
-            inboxes.setdefault(parent_id, []).extend(records)
+            bound = (reads[parent_id] + 1) << TAU_SHIFT  # above every record it reads
+            if records and records[0] >= bound:
+                part = records[bisect_right(records, -bound, key=neg):]
+            else:
+                part = records
+            inboxes.setdefault(parent_id, []).extend(part)
+
+    def read(start: int, stop: int) -> None:
+        """Route the atom records of the elements ``start:stop``."""
+        per_atom = atom_records(word, table, start, stop)
+        while per_atom:
+            atom_id, records = per_atom.popitem()
+            records.reverse()  # descending, as every key's outputs are
+            route(atom_id, records)
 
     def take(key_id: int, start: int, stop: int) -> tuple[list[int], int]:
         """A key's block inbox plus its sanctioned markers in the block (none
-        in point mode, where every offset set is {0}), and their number."""
+        in point mode, where every offset set is {0}) up to its reach, and
+        their number."""
         records = inboxes.pop(key_id, [])
         offs = offsets[key_id]
         markers = block_markers.get(offs)
@@ -645,12 +734,17 @@ def run_pipeline(
             markers = block_markers[offs] = [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
         if last_taker[offs] == key_id:
             del block_markers[offs]
+        bound = (reach[key_id] + 1) << TAU_SHIFT
+        if markers and markers[-1] >= bound:  # ascending
+            markers = markers[:bisect_left(markers, bound)]
         records += markers
         return records, len(markers)
 
     def reduce_key(kid: int, start: int, stop: int) -> None:
         nonlocal root_outputs
         records, markers = take(kid, start, stop)
+        if not records:  # nothing at this key's instants in the block
+            return
         row = rows[kid]
         row.records_in += len(records)
         row.markers += markers
@@ -670,11 +764,9 @@ def run_pipeline(
     # lie between its elements' timestamps and the previous element's, and
     # every record at them is made within the block; instants later than
     # the block reach it only through the window states.
-    for stop in range(len(positions), 0, -BLOCK):
+    for stop in range(walked, 0, -BLOCK):
         start = max(stop - BLOCK, 0)
-        per_atom = atom_records(word, table, start, stop)
-        while per_atom:
-            route(*per_atom.popitem())
+        read(start, stop)
         for kid in order:
             reduce_key(kid, start, stop)
     if streams is not None:
@@ -689,8 +781,6 @@ def run_pipeline(
             anchor_index is not None and word.column(root_atom.name)[anchor_index] == 1
         )
     else:
-        if root_outputs is None:
-            raise EngineError("pipeline produced no stream for the root key")
         verdict_value = None
         for record in root_outputs:
             if (record >> TAU_SHIFT) == anchor_instant:
@@ -707,6 +797,7 @@ def run_pipeline(
         verdict=verdict_value,
         iterations=total_height,
         elements=len(word),
+        elements_reduced=walked,
         peak_win_records=peak_global,
         reducers=reducer_rows,
     )

@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TypeVar, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -391,6 +391,18 @@ def _render(f: Formula, kids: tuple[tuple[str, int], ...]) -> tuple[str, int]:
 def to_text(f: Formula) -> str:
     """Render a formula in the input grammar (parseable unless it contains Act)."""
     return fold(f, _render)[0]
+
+
+def node_texts(nodes: Iterable[Formula]) -> dict[Formula, str]:
+    """The text of every node in ``nodes``, which lists each node after its
+    children (as ``postorder`` and ``FormulaTable.nodes`` do), in one pass
+    that renders each node once from its children's texts.  A ``to_text``
+    per node would fold its whole subtree again, so a chain of n nodes
+    would copy on the order of n**3 characters instead of its texts' n**2."""
+    image: dict[Formula, tuple[str, int]] = {}
+    for node in nodes:
+        image[node] = _render(node, tuple([image[kid] for kid in children(node)]))
+    return {node: text for node, (text, _) in image.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,7 @@ from .formula import (
     analyze,
     closed_bounds,
     node_interval,
-    to_text,
+    node_texts,
 )
 from .trace import TimedWord
 
@@ -201,9 +201,10 @@ class EvalTable:
     def to_tsv(self, stream: TextIO) -> None:
         stream.write("formula\t" + "\t".join(str(k) for k in self.keys) + "\n")
         height = self.table.height_of
+        texts = node_texts(self.table.nodes)
         for node_id in sorted(self.rows, key=lambda i: (height[i], i)):
             cells = [TRUE_CELL if self.rows[node_id][k] else FALSE_CELL for k in self.keys]
-            stream.write(to_text(self.table.node(node_id)) + "\t" + "\t".join(cells) + "\n")
+            stream.write(texts[self.table.node(node_id)] + "\t" + "\t".join(cells) + "\n")
 
     def tsv_text(self) -> str:
         buf = io.StringIO()

@@ -176,7 +176,8 @@ class TestCheck:
         assert payload["iterations"] == 4
         assert payload["peak_win_records"] <= 5
         assert set(payload) == {
-            "verdict", "iterations", "elements", "peak_win_records", "reducers",
+            "verdict", "iterations", "elements", "elements_reduced", "peak_win_records",
+            "reducers",
         }
         assert payload["elements"] == 7
         assert [set(row) for row in payload["reducers"]] == [
@@ -242,6 +243,33 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "line 2" in captured.err
+        assert captured.err.count("\n") == 1
+
+    # point, first-anchor and zero-anchor runs
+    REACH_MODES = [[], ["--k", "3"], ["--k", "3", "--semantics", "lazy", "--anchor", "zero"]]
+
+    @pytest.mark.parametrize("argv_tail,reduced", zip(REACH_MODES, [11, 11, 10]))
+    def test_stats_count_the_elements_reduced(self, capsys, tmp_path, argv_tail, reduced):
+        # the verdict reads p up to 10 past the anchor, the first element
+        # at 1 or instant 0
+        path = tmp_path / "unit.txt"
+        path.write_text("".join(f"{t} p\n" for t in range(1, 201)), encoding="utf-8")
+        assert main(["check", str(path), "-f", "F[0,10] p", "--stats"] + argv_tail) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "VERDICT: true"
+        payload = json.loads("\n".join(lines[:-1]))
+        assert (payload["elements"], payload["elements_reduced"]) == (200, reduced)
+
+    @pytest.mark.parametrize("argv_tail", REACH_MODES)
+    @pytest.mark.parametrize("defect", [b"x p\n", b"5001 \xff q\n", b"7 p\n"])
+    def test_defect_far_past_the_reach_exit_2(self, capsys, tmp_path, argv_tail, defect):
+        # the check reads 11 elements, but every line is parsed first
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"".join(b"%d p\n" % t for t in range(1, 5001)) + defect)
+        assert main(["check", str(path), "-f", "F[0,10] p"] + argv_tail) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 5001")
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["1_0 p\n", "1 p\n+20 q\n"])

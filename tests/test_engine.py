@@ -3,6 +3,7 @@
 import io
 import random
 import tracemalloc
+from bisect import bisect_right
 from collections import defaultdict
 from unittest import mock
 
@@ -35,6 +36,9 @@ from mtlcheck.formula import (
     Not,
     Or,
     analyze,
+    closed_bounds,
+    fold,
+    node_interval,
     parse_formula,
     postorder,
     to_text,
@@ -627,7 +631,8 @@ class TestRunPipeline:
         res = run_pipeline(EXAMPLE_WORD, f, semantics=LAZY, window_budget=4)
         payload = res.stats.to_json_dict()
         assert set(payload) == {
-            "verdict", "iterations", "elements", "peak_win_records", "reducers",
+            "verdict", "iterations", "elements", "elements_reduced", "peak_win_records",
+            "reducers",
         }
         assert payload["elements"] == len(EXAMPLE_WORD)
         heights = []
@@ -806,6 +811,93 @@ class TestBlocks:
         block = data.draw(st.sampled_from([1, 2, 3]), label="block")
         with mock.patch.object(engine, "BLOCK", block):
             assert _shown(run_pipeline(w, f, collect_streams=True, **kwargs)) == want
+
+
+def _lookahead(plan):
+    """The plan's lookahead, computed apart from the runner: the largest
+    sum of upper bounds (steps for exact steps) along a path from the root
+    to a leaf; None when an interval on the way is unbounded."""
+
+    def rule(node, kids):
+        interval = node_interval(node)
+        up = 0 if interval is None else closed_bounds(interval)[1]
+        if up is None or None in kids:
+            return None
+        return up + max(kids, default=0)
+
+    return fold(plan, rule)
+
+
+def _reach_case(data):
+    """A formula, a word whose span may exceed the formula's lookahead, and
+    the run's keyword arguments, in point, first-anchor or zero-anchor
+    mode; and the deepest instant the run reads, None when unbounded."""
+    mode = data.draw(st.sampled_from([POINT, ANCHOR_FIRST, ANCHOR_ZERO]), label="mode")
+    f = data.draw(formulas(max_depth=3, max_bound=8, allow_unbounded=mode == POINT))
+    w = data.draw(words(max_len=14, max_timestamp=60))
+    if mode == POINT:
+        kwargs, plan, anchor = {}, f, w.timestamps[0]
+    else:
+        k = data.draw(st.integers(min_value=1, max_value=5), label="k")
+        kwargs = dict(semantics=LAZY, window_budget=k, anchor=mode)
+        plan = pipeline_formula(f, k)[0]
+        anchor = 0 if mode == ANCHOR_ZERO else w.timestamps[0]
+    lookahead = _lookahead(plan)
+    return f, w, kwargs, None if lookahead is None else anchor + lookahead
+
+
+def _prefix(w, n):
+    """The word's first n elements."""
+    return ShownWord(w.timestamps[:n], {a: w.column(a)[:n] for a in w.atoms})
+
+
+class TestReach:
+    """A run without streams reduces each key only up to the last instant
+    its readers read it at, and walks the trace only up to the deepest
+    such instant: the elements past it change nothing the run shows."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_verdicts_match_the_evaluators(self, data):
+        f, w, kwargs, _ = _reach_case(data)
+        if kwargs.get("anchor") == ANCHOR_ZERO:
+            want = eval_lazy(w, 0, lazy_translation(f))
+        else:
+            want = eval_point(w, 0, f)
+        assert run_pipeline(w, f, **kwargs).verdict == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_elements_past_the_deepest_reach_change_nothing(self, data):
+        f, w, kwargs, deepest = _reach_case(data)
+        n = len(w) if deepest is None else max(bisect_right(w.timestamps, deepest), 1)
+        res = run_pipeline(w, f, **kwargs)
+        cut = run_pipeline(_prefix(w, n), f, **kwargs)
+        assert res.stats.elements_reduced == cut.stats.elements_reduced == n
+        assert _shown(cut) == _shown(res)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_block_size_changes_nothing(self, data):
+        f, w, kwargs, _ = _reach_case(data)
+        res = run_pipeline(w, f, **kwargs)
+        want = _shown(res), res.stats.elements_reduced
+        block = data.draw(st.sampled_from([1, 2, 3]), label="block")
+        with mock.patch.object(engine, "BLOCK", block):
+            res = run_pipeline(w, f, **kwargs)
+        assert (_shown(res), res.stats.elements_reduced) == want
+
+    @pytest.mark.parametrize("budget", [None, 4])
+    def test_work_does_not_grow_with_the_trace(self, budget):
+        def records_in(n):
+            text = io.BytesIO()
+            generate_trace(GeneratorConfig(n=n, m=20, seed=1), text)
+            w = parse_trace_lines(text.getvalue().splitlines())
+            res = run_pipeline(w, parse_formula("F[0,10] p"), window_budget=budget)
+            assert res.stats.elements_reduced == 11  # unit-spaced: instants first to first + 10
+            return sum(row.records_in for row in res.stats.reducers)
+
+        assert records_in(20 * engine.BLOCK) == records_in(2 * engine.BLOCK)
 
 
 def _traced_peak(run):

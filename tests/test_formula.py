@@ -22,10 +22,12 @@ from mtlcheck.formula import (
     analyze,
     children,
     node_interval,
+    node_texts,
     parse_formula,
     singleton,
     to_text,
 )
+from mtlcheck.transforms import decompose, lazy_translation
 from oracles import formulas, random_formula
 
 
@@ -93,6 +95,14 @@ class TestPrinting:
     @given(formulas(max_depth=5, max_bound=30, allow_unbounded=True))
     def test_print_parse_round_trip(self, f):
         assert parse_formula(to_text(f)) == f
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(max_depth=5, max_bound=30), st.integers(1, 6))
+    def test_shared_pass_renders_each_node_as_to_text(self, f, k):
+        # the decomposed translation brings in Act and exact steps
+        for root in (f, decompose(lazy_translation(f), k)):
+            nodes = analyze(root).nodes
+            assert node_texts(nodes) == {node: to_text(node) for node in nodes}
 
 
 class TestTable:
