@@ -73,7 +73,7 @@ or before the deepest reach and that reach, so a trace cut after that
 element gives the same values up to every reach (what a step reads past
 the last element is false either way; see below).  So the backward walk
 starts at that element and reads the trace as if it ended there (its
-``gapped`` test and offset horizon come from that prefix); ``route``
+offset horizon comes from that prefix); ``route``
 hands each parent only the records up to its reach plus its upper bound,
 all its operands alike, so a boolean key never misses an operand; each
 key takes only its markers up to its reach; and a key with nothing to
@@ -89,17 +89,22 @@ temporal specifications" (FMSD 2016).
 Markers go only to gaps between positions up to the last one, and no key
 emits a record past the last element: the decomposition puts every exact
 step over an eventually or until chain, which is false where no position
-lies, and that is what a step reads when it finds no record.  Contiguous
-timestamps thus need no markers (bar zero-anchor instants before the
-first).  Offsets are clipped at the trace's horizon (the last element's
-distance from the anchor), since a larger one would only point past the
-last element; a plan thousands of hops deep over a short trace thus keeps
-few offsets per key.  ``--stats`` reports the markers planted for each
-key.  Planting markers per key instead of record by record through a
-mapper changes no output: the mapper's sanctioned instants are exactly
-the position set shifted by the key's offsets, and the markers it would
-add beyond those (repeats, markers at position instants and unsanctioned
-ones) are ones the reducers ignore.  The test suite pins this against a
+lies, and that is what a step reads when it finds no record.  Offsets
+are clipped at a horizon past which none can land in a gap.  When the
+walked prefix has a gap, that is the last element's distance from the
+anchor, since a larger offset would only point past the last element; a
+plan thousands of hops deep over a short trace thus keeps few offsets per
+key.  When it has none, a shifted position is a position or lies past the
+last element, so only anchor instants before the first element can be
+gaps: the horizon is the distance from the anchor to the instant before
+the first element, 0 for the first anchor, and such a trace builds no
+offsets and plants no markers (bar zero-anchor instants before the
+first).  ``--stats`` reports the markers planted for each key.  Planting
+markers per key instead of record by record through a mapper changes no
+output: the mapper's sanctioned instants are exactly the position set
+shifted by the key's offsets, and the markers it would add beyond those
+(repeats, markers at position instants and unsanctioned ones) are ones
+the reducers ignore.  The test suite pins this against a
 record-by-record mapper oracle.
 """
 
@@ -108,9 +113,10 @@ from __future__ import annotations
 import time
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import neg
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .formula import (
     Act,
@@ -203,22 +209,23 @@ def input_read(
     return word, word.timestamps[0]
 
 
-def compute_offsets(table: FormulaTable, horizon: int) -> dict[int, frozenset[int]]:
-    """Virtual-instant offsets per key: the shifts (relative to position
-    timestamps) at which each key's value is needed by its superformulas,
-    up to ``horizon``, the largest shift that still lands on or before the
-    last element from the earliest instant a value is needed at.
+def compute_offsets(table: FormulaTable, horizon: int) -> list[frozenset[int]]:
+    """Virtual-instant offsets per key, a list indexed by key id (slot 0
+    unused): the shifts (relative to position timestamps) at which each
+    key's value is needed by its superformulas, up to ``horizon``, the
+    largest shift that can still land in a gap of the walked trace (see
+    ``run_pipeline``).
 
     Exact-step parents push their offsets forward by their step; boolean
     parents pass offsets through; window parents need only position
-    instants from their operands.  Processing in decreasing height order
-    is sound because every parent is strictly taller than its children.
-    Offsets only grow along a chain, so clipping each step clips the
-    result, and a deep chain over a short trace keeps few offsets.  Keys
-    with equal offsets mostly share one set.
+    instants from their operands.  Ids are assigned children first, so
+    decreasing ids visit every parent before its children.  Offsets only
+    grow along a chain, so clipping each step clips the result, and a deep
+    chain over a short trace keeps few offsets; with horizon 0 every key
+    keeps ``{0}``.  Keys with equal offsets mostly share one set.
     """
-    offsets = dict.fromkeys(range(1, table.size + 1), frozenset({0}))
-    for node_id in sorted(offsets, key=lambda i: -table.height_of[i]):
+    offsets = [frozenset({0})] * (table.size + 1)
+    for node_id in range(table.size, 0, -1):
         node = table.node(node_id)
         if isinstance(node, ExactStep):
             reach = horizon - node.step  # the largest offset that stays in the horizon
@@ -563,26 +570,27 @@ class PipelineResult:
         return self.streams[self.table.id_of[f]]
 
 
-def _reducer(node: Formula, table: FormulaTable) -> Callable[[list[int]], tuple[list[int], int]]:
-    """A key's reducer bound to its operands, for a key that is not an atom:
-    called with one block of the key's records sorted by ``shuffle_sort``,
-    later blocks first, it returns the block's outputs and the key's peak
-    buffer so far.  A window key's buffer is bound with it."""
-    node_id = table.id_of[node]
+def reduce_node(
+    table: FormulaTable, node_id: int, records: list[int], states: defaultdict[int, WindowState]
+) -> tuple[list[int], int]:
+    """Reduce one block of a key's records, sorted by ``shuffle_sort``, with
+    the reducer of the key's node kind, for a key that is not an atom; it
+    returns the block's outputs and the key's peak buffer so far.  Blocks
+    come later ones first, and a window key's buffer is carried between
+    them in ``states``, which makes it at the key's first block.  The
+    reducers are looked up by name at each call, so a wrapper put on the
+    module sees them."""
+    node = table.node(node_id)
     kids = table.child_ids[node_id]
     if isinstance(node, (Not, And, Or)):
-        leafs = tuple(table.height_of[i] == 1 for i in kids)
+        leafs = tuple([table.height_of[i] == 1 for i in kids])
         op = "not" if isinstance(node, Not) else "and" if isinstance(node, And) else "or"
-        return lambda records: reduce_join(records, kids, leafs, op, node_id, node)
-    interval = node_interval(node)
-    options = dict(  # until is eventually over its right operand, cut by its left one
-        admit_any=isinstance(node, ExactStep),
-        universal=isinstance(node, Globally),
-        cut_id=kids[0] if isinstance(node, Until) else None,
-        key=node,
-        state=WindowState(),
+        return reduce_join(records, kids, leafs, op, node_id, node)
+    return reduce_window(  # until is eventually over its right operand, cut by its left one
+        records, kids[-1], node_interval(node), node_id,
+        admit_any=isinstance(node, ExactStep), universal=isinstance(node, Globally),
+        cut_id=kids[0] if isinstance(node, Until) else None, key=node, state=states[node_id],
     )
-    return lambda records: reduce_window(records, kids[-1], interval, node_id, **options)
 
 
 def _seed_instants(
@@ -591,18 +599,21 @@ def _seed_instants(
     stop: int,
     offs: Iterable[int],
     extra: Iterable[int],
-    gapped: bool,
 ) -> list[int]:
     """Instants to plant sanctioned markers at in the block of elements
     ``start:stop``, whose instants are ``(positions[start-1],
     positions[stop-1]]`` (from instant zero for the first block): the
     positions shifted by each nonzero offset, plus any extra anchor
-    instants, that fall in the block's gaps.  ``gapped`` is False when the
-    positions are contiguous, so that no shifted one falls in a gap."""
+    instants, that fall in the block's gaps.  Over contiguous positions a
+    shifted one is a position or lies past the last element, so the
+    shifts are walked only in a block whose positions, from the one
+    before it, have a gap.  Only anchor instants fall before the first
+    element, and on a trace without gaps the runner's horizon keeps no
+    offset past those."""
     lo = positions[start - 1] if start else -1
     hi = positions[stop - 1]
     inst: set[int] = set()
-    if gapped:
+    if hi - (lo if start else positions[0] - 1) > stop - start:
         for off in offs:
             if off:
                 i = bisect_right(positions, lo - off)
@@ -674,19 +685,20 @@ def run_pipeline(
     reach, reads = compute_reach(table, END if collect_streams else anchor_instant)
     # the walk covers the elements up to the deepest reach (at least the
     # first, whose block holds the anchor), and reads the trace as if it
-    # ended there
+    # ended there.  On a prefix without gaps a shifted position is a
+    # position or lies past the last element, so only anchor instants
+    # before the first element can be gaps there.
     walked = max(bisect_right(positions, max(reach)), 1)
     first, last = positions[0], positions[walked - 1]
     gapped = walked <= last - first
-    offsets = compute_offsets(table, last - anchor_instant)
-    reducers = {
-        table.id_of[node]: _reducer(node, table)
-        for node in table.nodes
-        if not isinstance(node, (Atom, Act))
-    }
+    horizon = last - anchor_instant if gapped else max(first - 1 - anchor_instant, 0)
+    offsets = compute_offsets(table, horizon)
+    states: defaultdict[int, WindowState] = defaultdict(WindowState)  # window keys' buffers
     # every parent is strictly taller than its children, so in this order
-    # each key's block inbox is complete when taken
-    order = sorted(reducers, key=lambda i: (table.height_of[i], i))
+    # (by height, then id: the sort is stable) each key's block inbox is
+    # complete when taken
+    order = [i for i in range(1, table.size + 1) if table.child_ids[i]]  # not atoms
+    order.sort(key=table.height_of.__getitem__)
     rows = {kid: ReducerStats(table.node(kid), 0, 0, 0, 0, 0.0) for kid in order}
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
     root_id = table.root_id
@@ -730,7 +742,7 @@ def run_pipeline(
         markers = block_markers.get(offs)
         if markers is None:
             extra = offs if anchor == ANCHOR_ZERO else ()
-            instants = _seed_instants(positions, start, stop, offs, extra, gapped)
+            instants = _seed_instants(positions, start, stop, offs, extra)
             markers = block_markers[offs] = [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
         if last_taker[offs] == key_id:
             del block_markers[offs]
@@ -749,7 +761,7 @@ def run_pipeline(
         row.records_in += len(records)
         row.markers += markers
         began = time.perf_counter()
-        outputs, peak = reducers[kid](shuffle_sort(records))
+        outputs, peak = reduce_node(table, kid, shuffle_sort(records), states)
         row.iteration_ms += (time.perf_counter() - began) * 1000.0
         del records  # the consumed inbox, dropped before the outputs are routed
         row.peak_win = max(row.peak_win, peak)

@@ -622,17 +622,19 @@ class FormulaTable:
     """Structural index of a formula: one id per distinct subformula.
 
     Structurally equal subtrees are one interned node with one id, so the
-    pipeline evaluates each distinct subformula once.  Heights: atoms (and
-    Act) are 1, every other node is one more than its tallest direct
-    subformula.
+    pipeline evaluates each distinct subformula once.  Ids are assigned
+    children first, from 1, and ``child_ids``, ``parent_ids`` and
+    ``height_of`` are lists indexed by id (slot 0 unused), so a key costs a
+    list slot, not a dict entry.  Heights: atoms (and Act) are 1, every
+    other node is one more than its tallest direct subformula.
     """
 
     root: Formula
     nodes: list[Formula] = field(default_factory=list)          # id -> node (ids from 1)
     id_of: dict[Formula, int] = field(default_factory=dict)
-    child_ids: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    parent_ids: dict[int, tuple[int, ...]] = field(default_factory=dict)  # ascending
-    height_of: dict[int, int] = field(default_factory=dict)
+    child_ids: list[tuple[int, ...]] = field(default_factory=lambda: [()])
+    parent_ids: list[tuple[int, ...]] = field(default_factory=lambda: [()])  # ascending
+    height_of: list[int] = field(default_factory=lambda: [0])
 
     def node(self, node_id: int) -> Formula:
         return self.nodes[node_id - 1]
@@ -652,21 +654,21 @@ class FormulaTable:
 
 
 def analyze(root: Formula) -> FormulaTable:
-    """Build the structural index used by evaluators and the pipeline.
-    Nodes are interned, so each node of the root is a distinct subformula."""
+    """Build the structural index used by evaluators and the pipeline, in
+    one pass over the root's nodes, children first.  Nodes are interned,
+    so each node of the root is a distinct subformula."""
     table = FormulaTable(root)
+    parents: list[list[int]] = [[]]
     for f in postorder(root):
         table.nodes.append(f)
         node_id = table.id_of[f] = len(table.nodes)
-        kid_ids = table.child_ids[node_id] = tuple(table.id_of[kid] for kid in children(f))
-        table.height_of[node_id] = 1 + max((table.height_of[k] for k in kid_ids), default=0)
-    # one ascending tuple per key: nearly every key has a single parent, and
-    # a one-int tuple holds under a third of what a frozenset does
-    parents: dict[int, list[int]] = {i: [] for i in range(1, len(table.nodes) + 1)}
-    for pid, kids in table.child_ids.items():  # ascending parent ids
-        for kid in kids:
-            ps = parents[kid]
-            if not ps or ps[-1] != pid:  # a parent lists a repeated child twice
-                ps.append(pid)
-    table.parent_ids = {i: tuple(ps) for i, ps in parents.items()}
+        kid_ids = tuple([table.id_of[kid] for kid in children(f)])
+        table.child_ids.append(kid_ids)
+        table.height_of.append(1 + max([table.height_of[k] for k in kid_ids], default=0))
+        parents.append([])
+        for kid in set(kid_ids):  # once, if listed twice; ids ascend, so each list does too
+            parents[kid].append(node_id)
+    # one tuple per key: nearly every key has a single parent, and a
+    # one-int tuple holds under half of what a one-int list does
+    table.parent_ids = [tuple(ps) for ps in parents]
     return table

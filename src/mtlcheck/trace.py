@@ -144,9 +144,11 @@ def parse_trace_lines(
 
     The columns are built in the same pass: each line appends a timestamp
     and sets its atoms' flags, so nothing of a line but those outlives it.
-    Flag columns grow by doubling a shared capacity and are cut to the
-    element count in place at the end.  The lines' checks are those of
-    ``TimedWord``, so the word is built without a second pass over it.
+    Flag columns grow by doubling a shared capacity and are replaced by
+    exact-size copies at the end, one at a time, since cutting a
+    ``bytearray`` in place keeps its capacity.  The lines' checks are
+    those of ``TimedWord``, so the word is built without a second pass
+    over it.
 
     With ``atoms`` given, only those atoms get a column (and only those
     that hold somewhere), as the mapper of a MapReduce check reads only
@@ -209,11 +211,12 @@ def parse_trace_lines(
     if not timestamps:
         raise TraceError("empty trace: checking needs at least one element")
     n = len(timestamps)
-    for flags in columns.values():
-        del flags[n:]
-    return TimedWord._from_checked(
-        timestamps, {atom: flags for atom, flags in columns.items() if 1 in flags}
-    )
+    wanted = None  # its references would keep the grown columns alive
+    for atom in list(columns):  # one at a time, each grown column freed once copied
+        flags = columns.pop(atom)
+        if 1 in flags:
+            columns[atom] = flags[:n]
+    return TimedWord._from_checked(timestamps, columns)
 
 
 def split_lines(stream: BinaryIO) -> Iterator[bytes]:

@@ -371,7 +371,7 @@ def map_step(
     key_id: int,
     record: int,
     table: FormulaTable,
-    offsets: dict[int, frozenset[int]],
+    offsets: list[frozenset[int]],
     last: Optional[int] = None,
 ) -> list[tuple[int, int]]:
     """Map one record of one key to the records it contributes upstream.
@@ -392,7 +392,7 @@ def map_step(
     for parent_id in sorted(table.parent_ids[key_id]):
         outs.append((parent_id, record))
         if is_real and flagged:
-            for off in sorted(offsets.get(parent_id, frozenset((0,)))):
+            for off in sorted(offsets[parent_id]):
                 if off and (last is None or tau + off <= last):
                     outs.append(
                         (parent_id, pack_record(tau + off, ACT_CHILD, False, False, True))

@@ -15,7 +15,7 @@ from mtlcheck import engine
 from mtlcheck.engine import (
     ACT_CHILD,
     EngineError,
-    _reducer,
+    WindowState,
     atom_records,
     compute_offsets,
     input_read,
@@ -23,6 +23,7 @@ from mtlcheck.engine import (
     record_tau,
     record_truth,
     reduce_join,
+    reduce_node,
     reduce_window,
     run_pipeline,
     shuffle_sort,
@@ -142,7 +143,7 @@ class TestOffsets:
     def test_point_style_tables_have_trivial_offsets(self):
         table = analyze(parse_formula("(p U[0,9] q) & F[2,5] p"))
         offsets = compute_offsets(table, HORIZON)
-        assert all(offs == frozenset({0}) for offs in offsets.values())
+        assert all(offs == frozenset({0}) for offs in offsets[1:])
 
     def test_exact_steps_shift_their_operands(self):
         stripped, _ = pipeline_formula(parse_formula("F[3,7] p"), 4)
@@ -178,6 +179,29 @@ class TestOffsets:
         offsets = compute_offsets(table, 7)
         assert offsets[table.id_of[ExactStep(5, Atom("p"))]] == frozenset({0, 3})
         assert offsets[table.id_of[Atom("p")]] == frozenset({0, 5})
+
+    @staticmethod
+    def _built_offsets(w, anchor):
+        """The offsets a budget run over ``w`` builds, and the run's result."""
+        f = parse_formula("F[3,17] p")
+        with mock.patch.object(engine, "compute_offsets", wraps=engine.compute_offsets) as spy:
+            res = run_pipeline(w, f, semantics=LAZY, window_budget=2, anchor=anchor)
+        instant = 0 if anchor == ANCHOR_ZERO else w.timestamps[0]
+        assert res.verdict == eval_lazy(w, instant, lazy_translation(f))
+        return compute_offsets(*spy.call_args.args)[1:], res
+
+    def test_gap_free_first_anchor_run_builds_no_offset(self):
+        # a shifted position lands on a position or past the last element
+        w = word(*((("p",), t) for t in range(1, 41)))
+        built, res = self._built_offsets(w, ANCHOR_FIRST)
+        assert set(built) == {frozenset({0})}
+        assert sum(row.markers for row in res.stats.reducers) == 0
+
+    def test_gap_free_zero_anchor_run_offsets_reach_only_the_first_gap(self):
+        # only the instants 0 to 4, before the first element, are gaps
+        w = word(*((("p",), t) for t in range(5, 41)))
+        built, _ = self._built_offsets(w, ANCHOR_ZERO)
+        assert max(max(offs) for offs in built) == 4
 
 
 class TestMapStep:
@@ -661,7 +685,7 @@ def _mapper_route(w, formula, budget):
     offsets = (
         compute_offsets(table, last - first)
         if budget is not None
-        else {i: frozenset({0}) for i in range(1, table.size + 1)}
+        else [frozenset({0})] * (table.size + 1)
     )
     inbox = defaultdict(list)
     streams = {}
@@ -670,13 +694,10 @@ def _mapper_route(w, formula, budget):
         for rec in recs:
             for key, out in map_step(aid, rec, table, offsets, last):
                 inbox[key].append(out)
-    reducers = {
-        table.id_of[node]: _reducer(node, table)
-        for node in table.nodes
-        if table.child_ids[table.id_of[node]]
-    }
-    for kid in sorted(reducers, key=lambda i: table.height_of[i]):
-        outputs, _ = reducers[kid](shuffle_sort(inbox.pop(kid, [])))
+    states = defaultdict(WindowState)
+    keys = [i for i in range(1, table.size + 1) if table.child_ids[i]]
+    for kid in sorted(keys, key=lambda i: table.height_of[i]):
+        outputs, _ = reduce_node(table, kid, shuffle_sort(inbox.pop(kid, [])), states)
         streams[kid] = outputs
         for rec in outputs:
             for key, out in map_step(kid, rec, table, offsets, last):
@@ -735,7 +756,7 @@ class TestTail:
         w = word((("p",), 1), (("p",), 2))
         res = run_pipeline(w, parse_formula("F[3,7] p"), semantics=LAZY, window_budget=2,
                            anchor=ANCHOR_ZERO, collect_streams=True)
-        assert max(max(offs) for offs in compute_offsets(res.table, 2).values()) == 2
+        assert max(max(offs) for offs in compute_offsets(res.table, 2)[1:]) == 2
         assert {record_tau(r) for s in res.streams.values() for r in s} == {0, 1, 2}
         assert res.verdict is False
 
@@ -923,7 +944,8 @@ def _pipeline_peak(n, budget):
     text = io.BytesIO()
     generate_trace(GeneratorConfig(n=n, m=20, seed=1, force_p=True), text)
     w = parse_trace_lines(text.getvalue().splitlines())
-    f = parse_formula("F[0,500] p")
+    # its reach spans both traces, while its buffers stay bounded
+    f = parse_formula(f"G[0,{20 * engine.BLOCK}] p")
     peak, res = _traced_peak(lambda: run_pipeline(w, f, window_budget=budget))
     assert res.verdict is True
     return peak
