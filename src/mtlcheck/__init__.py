@@ -62,7 +62,6 @@ from .transforms import (
     max_bounded_upper,
     pipeline_formula,
     split_zero_window,
-    strip_position_guards,
 )
 from .engine import (
     EngineError,
@@ -117,7 +116,6 @@ __all__ = [
     "max_bounded_upper",
     "pipeline_formula",
     "split_zero_window",
-    "strip_position_guards",
     "EngineError",
     "PipelineResult",
     "ReducerStats",

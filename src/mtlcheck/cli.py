@@ -231,7 +231,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     result = run_pipeline(word, formula, semantics=POINT, window_budget=budget)
                     wall_ms = (time.perf_counter() - start) * 1000.0
                     row = (
-                        to_text(result.table.root),
+                        to_text(formula),
                         str(window),
                         "off" if budget is None else str(budget),
                         str(len(word)),

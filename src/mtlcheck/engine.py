@@ -31,9 +31,9 @@ pass, groups it by instant and deduplicates while it reduces.
   a repeat that agrees in truth is skipped, one that disagrees raises
   ``EngineError``.
 - Eventually, globally and until keys admit only position records as
-  witnesses, violations or cuts (this stands in for the stripped
-  position-marker guards; see transforms), while exact-step keys admit
-  any record.
+  witnesses, violations or cuts, while exact-step keys admit any record.
+  This enforces the position-marker guards of the plan, which the keys
+  read through (``transforms.operands``), so no guard is a key.
 
 Window buffers answer each probe in amortized O(1): a second head skips
 entries beyond the interval's upper edge, which never come back in range
@@ -114,7 +114,7 @@ import time
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from operator import neg
 from typing import Iterable, Optional, Sequence, Union
 
@@ -138,7 +138,7 @@ from .formula import (
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
 from .trace import TIMESTAMP_MAX, TimedWord, parse_trace_lines
-from .transforms import pipeline_formula
+from .transforms import operands, pipeline_formula
 
 ACT_CHILD = 0
 CHILD_BITS = 21
@@ -527,7 +527,7 @@ def reduce_join(
 # Job plan and runner
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class ReducerStats:
     reducer_key: Formula  # rendered as text only in the ``--stats`` envelope
     peak_win: int
@@ -550,9 +550,16 @@ class RunStats:
         """The ``--stats`` envelope: the fields above, rows as dicts with
         their keys' texts.  The rows are in order of height, so the last
         is the root's, and every key's text comes from one shared pass
-        over the root's nodes."""
-        texts = node_texts(postorder(self.reducers[-1].reducer_key)) if self.reducers else {}
-        rows = [dict(vars(row), reducer_key=texts[row.reducer_key]) for row in self.reducers]
+        over the root's nodes.  The keys read through position guards, and
+        so do their texts."""
+        keys = postorder(self.reducers[-1].reducer_key, operands) if self.reducers else []
+        texts = node_texts(keys, operands)
+        # a slotted row has no vars(), and asdict would copy each key's subtree
+        names = [f.name for f in fields(ReducerStats)]
+        rows = [
+            dict(zip(names, [getattr(row, n) for n in names]), reducer_key=texts[row.reducer_key])
+            for row in self.reducers
+        ]
         return dict(vars(self), reducers=rows)
 
 
@@ -666,18 +673,15 @@ def run_pipeline(
     if anchor == ANCHOR_ZERO and semantics != LAZY:
         raise EngineError("the zero anchor requires lazy semantics")
 
-    # only stream readers use the guard map; dropped, it frees the guarded
-    # plan it holds alive
     if window_budget is not None:
-        run_root, guard_map = pipeline_formula(formula, window_budget)
-        if not collect_streams:
-            guard_map = None
-        table = analyze(run_root)
+        table = analyze(pipeline_formula(formula, window_budget), operands)
     else:
         table = analyze(formula)
         if any(isinstance(node, (ExactStep, Act)) for node in table.nodes):
             raise EngineError("point-mode input must not contain marker nodes")
-        guard_map = {node: node for node in table.nodes} if collect_streams else None
+    # each key is the node its stream is checked against; only stream
+    # readers use the map
+    guard_map = {node: node for node in table.nodes} if collect_streams else None
     if table.size >= CHILD_MASK:
         raise EngineError("formula too large for the record encoding")
     positions = word.timestamps

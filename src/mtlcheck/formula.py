@@ -282,6 +282,9 @@ def children(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+Subformulas = Callable[[Formula], tuple[Formula, ...]]  # a node's children, as ``children`` gives
+
+
 def node_interval(f: Formula) -> Optional[Interval]:
     """The timing interval carried by a node, if any (exact steps report [K,K])."""
     if isinstance(f, (Until, Eventually, Globally)):
@@ -297,18 +300,19 @@ def node_interval(f: Formula) -> Optional[Interval]:
 # adds work.
 # ---------------------------------------------------------------------------
 
-def postorder(f: Formula) -> list[Formula]:
+def postorder(f: Formula, subformulas: Subformulas = children) -> list[Formula]:
     """Each node of ``f`` once, children before their parents and left
-    before right."""
+    before right.  ``subformulas`` gives a node's children; the pipeline
+    passes ``transforms.operands``, which reads through position guards."""
     order: list[Formula] = []
     seen = {f}
-    stack = [(f, iter(children(f)))]
+    stack = [(f, iter(subformulas(f)))]
     while stack:
         node, kids = stack[-1]
         for kid in kids:
             if kid not in seen:
                 seen.add(kid)
-                stack.append((kid, iter(children(kid))))
+                stack.append((kid, iter(subformulas(kid))))
                 break
         else:
             stack.pop()
@@ -393,15 +397,17 @@ def to_text(f: Formula) -> str:
     return fold(f, _render)[0]
 
 
-def node_texts(nodes: Iterable[Formula]) -> dict[Formula, str]:
+def node_texts(nodes: Iterable[Formula], subformulas: Subformulas = children) -> dict[Formula, str]:
     """The text of every node in ``nodes``, which lists each node after its
-    children (as ``postorder`` and ``FormulaTable.nodes`` do), in one pass
-    that renders each node once from its children's texts.  A ``to_text``
-    per node would fold its whole subtree again, so a chain of n nodes
-    would copy on the order of n**3 characters instead of its texts' n**2."""
+    children (as ``postorder`` and ``FormulaTable.nodes`` do, with the same
+    ``subformulas``), in one pass that renders each node once from its
+    children's texts.  Rendered over ``transforms.operands``, a key's text
+    omits the position guards it reads through.  A ``to_text`` per node
+    would fold its whole subtree again, so a chain of n nodes would copy on
+    the order of n**3 characters instead of its texts' n**2."""
     image: dict[Formula, tuple[str, int]] = {}
     for node in nodes:
-        image[node] = _render(node, tuple([image[kid] for kid in children(node)]))
+        image[node] = _render(node, tuple([image[kid] for kid in subformulas(node)]))
     return {node: text for node, (text, _) in image.items()}
 
 
@@ -653,16 +659,18 @@ class FormulaTable:
         return len(self.nodes)
 
 
-def analyze(root: Formula) -> FormulaTable:
+def analyze(root: Formula, subformulas: Subformulas = children) -> FormulaTable:
     """Build the structural index used by evaluators and the pipeline, in
     one pass over the root's nodes, children first.  Nodes are interned,
-    so each node of the root is a distinct subformula."""
+    so each node of the root is a distinct subformula.  ``subformulas``
+    gives a node's children: the pipeline indexes a guarded plan through
+    ``transforms.operands``, so no position guard, nor ``Act``, is a key."""
     table = FormulaTable(root)
     parents: list[list[int]] = [[]]
-    for f in postorder(root):
+    for f in postorder(root, subformulas):
         table.nodes.append(f)
         node_id = table.id_of[f] = len(table.nodes)
-        kid_ids = tuple([table.id_of[kid] for kid in children(f)])
+        kid_ids = tuple([table.id_of[kid] for kid in subformulas(f)])
         table.child_ids.append(kid_ids)
         table.height_of.append(1 + max([table.height_of[k] for k in kid_ids], default=0))
         parents.append([])

@@ -32,11 +32,12 @@ conjunct is expressed as a globally window over ``position -> l`` so that
 non-position instants cannot violate it.  The rewrite is validated
 against the reference evaluators over randomized formulas and words.
 
-``strip_position_guards`` removes the explicit position-marker guards the
-translation introduced and returns a mapping from each node of the
-stripped formula to its guarded counterpart; the pipeline engine
-re-imposes the guards as a record discipline and is compared against the
-guarded originals.
+The translation's guards stay in the plan the pipeline checks.
+``operands`` reads a guard (``Act & r``, or ``!Act | r`` under an until
+hop) as the ``r`` it guards, so the pipeline indexes the guarded plan with
+no key for a guard or for ``Act``, and its reducers admit only position
+records as witnesses where a guard stood (see ``engine``).  Each key is
+thus the guarded node whose lazy value its stream is checked against.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .formula import (
     Not,
     Or,
     Until,
+    children,
     fold,
     node_interval,
     postorder,
@@ -68,8 +70,23 @@ class TransformError(ValueError):
     """Raised when a rewrite's input precondition is violated."""
 
 
+_ACT = Act()
+_NOT_ACT = Not(_ACT)
+
+
 def _guard(f: Formula) -> Formula:
-    return And(Act(), f)
+    return And(_ACT, f)
+
+
+def operands(node: Formula) -> tuple[Formula, ...]:
+    """The node's children, each position guard (``Act & r`` or ``!Act |
+    r``) read as the ``r`` it guards: the children the pipeline reduces a
+    key from.  Nodes are interned, so a guard is recognized by identity."""
+    return tuple([
+        kid.right if isinstance(kid, And) and kid.left is _ACT
+        or isinstance(kid, Or) and kid.left is _NOT_ACT else kid
+        for kid in children(node)
+    ])
 
 
 def lazy_translation(f: Formula) -> Formula:
@@ -150,7 +167,7 @@ def _decompose_until(interval: Interval, left: Formula, right: Formula, k: int) 
             interval = Interval(0, b - k, False, interval.upper_closed)
     chain: Formula = Until(interval, left, right)
     # all positions in (0,k] satisfy l; non-positions cannot violate it
-    all_left = Globally(Interval(0, k, False, True), Or(Not(Act()), left))
+    all_left = Globally(Interval(0, k, False, True), Or(_NOT_ACT, left))
     for hop in reversed(hops):
         chain = And(all_left, ExactStep(k, chain))
         if hop.lower < k or (hop.lower == k and hop.lower_closed):
@@ -186,31 +203,7 @@ def decompose(f: Formula, k: int) -> Formula:
     return fold(f, split)
 
 
-def strip_position_guards(f: Formula) -> tuple[Formula, dict[Formula, Formula]]:
-    """Remove explicit position-marker guards, keeping their meaning on file.
-
-    Returns the stripped formula together with a mapping from every node of
-    the stripped formula to its guarded counterpart; the engine's record
-    discipline stands in for the removed guards and its output streams are
-    checked against lazy evaluation of the guarded originals.
-    """
-    origin: dict[Formula, Formula] = {}  # a stripped node -> its guarded node
-
-    def strip(node: Formula, kids: tuple[Formula, ...]) -> Formula:
-        if isinstance(node, And) and isinstance(node.left, Act) or (
-            isinstance(node, Or) and isinstance(node.left, Not) and isinstance(node.left.child, Act)
-        ):
-            return kids[1]  # a guard, Act & r or !Act | r, stands for r
-        stripped = with_children(node, kids)
-        origin.setdefault(stripped, node)
-        return stripped
-
-    stripped_root = fold(f, strip)
-    # only the result's nodes are mapped, not the guards' own Act and !Act
-    return stripped_root, {node: origin[node] for node in postorder(stripped_root)}
-
-
-def pipeline_formula(f: Formula, k: int) -> tuple[Formula, dict[Formula, Formula]]:
-    """Formula the distributed checker runs for a window budget of k, plus
-    the guard mapping used to validate its streams."""
-    return strip_position_guards(decompose(lazy_translation(f), k))
+def pipeline_formula(f: Formula, k: int) -> Formula:
+    """The plan the distributed checker runs for a window budget of k: the
+    guarded translation, decomposed.  Index it through ``operands``."""
+    return decompose(lazy_translation(f), k)

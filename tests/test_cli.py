@@ -187,6 +187,11 @@ class TestCheck:
         # positions: 1 2 4 6 8 9 10 shifted by 4, less the positions and
         # the instants past the last one, 10
         assert [row["markers"] for row in payload["reducers"]] == [0, 1, 0, 0]
+        # the keys read through the plan's position guards, and so do their
+        # texts: a guard in each would add about 40% to a deep plan's output
+        assert [row["reducer_key"] for row in payload["reducers"]] == [
+            "F[3,4] p", "F[0,3] p", "F=4 (F[0,3] p)", "F[3,4] p | F=4 (F[0,3] p)",
+        ]
 
     def test_table_to_stdout(self, capsys, trace_file):
         code = main(["check", trace_file, "-f", "F[3,7] p", "--table", "-"])
@@ -541,6 +546,7 @@ class TestBench:
         assert off6[3] == "40"
         assert int(off6[5]) == 7  # undecomposed peak
         k6 = by_key[("6", "4")]
+        assert k6[0] == "F[0,6] p"  # the formula checked, not its plan
         assert int(k6[5]) <= 5  # budgeted peak
         off10 = by_key[("10", "off")]
         assert int(off10[5]) == 11

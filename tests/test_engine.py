@@ -40,6 +40,7 @@ from mtlcheck.formula import (
     closed_bounds,
     fold,
     node_interval,
+    node_texts,
     parse_formula,
     postorder,
     to_text,
@@ -54,7 +55,7 @@ from mtlcheck.semantics import (
     eval_point,
 )
 from mtlcheck.trace import GeneratorConfig, TraceError, generate_trace, parse_trace_lines, word
-from mtlcheck.transforms import lazy_translation, pipeline_formula
+from mtlcheck.transforms import decompose, lazy_translation, operands, pipeline_formula
 from oracles import (
     ShownWord,
     check_dup,
@@ -146,10 +147,10 @@ class TestOffsets:
         assert all(offs == frozenset({0}) for offs in offsets[1:])
 
     def test_exact_steps_shift_their_operands(self):
-        stripped, _ = pipeline_formula(parse_formula("F[3,7] p"), 4)
-        table = analyze(stripped)
+        table = analyze(pipeline_formula(parse_formula("F[3,7] p"), 4), operands)
         offsets = compute_offsets(table, HORIZON)
-        by_text = {to_text(table.node(i)): offsets[i] for i in range(1, table.size + 1)}
+        texts = node_texts(table.nodes, operands)
+        by_text = {text: offsets[table.id_of[n]] for n, text in texts.items()}
         assert by_text["F[3,4] p | F=4 (F[0,3] p)"] == frozenset({0})
         assert by_text["F[3,4] p"] == frozenset({0})
         assert by_text["F=4 (F[0,3] p)"] == frozenset({0})
@@ -217,12 +218,11 @@ class TestMapStep:
         assert all(r == rec for _, r in outs)
 
     def test_plants_a_marker_one_step_under_an_exact_parent(self):
-        stripped, _ = pipeline_formula(parse_formula("F[3,7] p"), 4)
-        table = analyze(stripped)
+        table = analyze(pipeline_formula(parse_formula("F[3,7] p"), 4), operands)
         offsets = compute_offsets(table, HORIZON)
-        inner = parse_formula("F[0,3] p")
-        kid = table.id_of[inner]
-        parent = table.id_of[ExactStep(4, inner)]
+        id_of = {text: table.id_of[n] for n, text in node_texts(table.nodes, operands).items()}
+        kid = id_of["F[0,3] p"]
+        parent = id_of["F=4 (F[0,3] p)"]
         rec = pack_record(1, kid, True, True, False)
         outs = map_step(kid, rec, table, offsets)
         assert (parent, rec) in outs
@@ -576,7 +576,10 @@ class TestRunPipeline:
         for kwargs in ({}, dict(semantics=LAZY, window_budget=4)):
             assert run_pipeline(EXAMPLE_WORD, f, **kwargs).guard_map is None
             res = run_pipeline(EXAMPLE_WORD, f, collect_streams=True, **kwargs)
-            assert set(res.guard_map) == set(res.table.nodes)
+            assert res.guard_map == {node: node for node in res.table.nodes}
+        # a budget run's keys are nodes of the guarded plan itself
+        plan = decompose(lazy_translation(f), 4)
+        assert set(res.table.nodes) <= set(postorder(plan))
 
     def test_atom_root_is_a_read_only_run(self):
         res = run_pipeline(EXAMPLE_WORD, Atom("p"))
@@ -660,6 +663,7 @@ class TestRunPipeline:
         }
         assert payload["elements"] == len(EXAMPLE_WORD)
         heights = []
+        texts = node_texts(res.table.nodes, operands)
         for row in payload["reducers"]:
             assert set(row) == {
                 "reducer_key", "peak_win", "records_in", "markers", "records_out",
@@ -667,7 +671,7 @@ class TestRunPipeline:
             }
             assert 0 <= row["markers"] <= row["records_in"]
             node = next(
-                n for n in res.table.nodes if to_text(n) == row["reducer_key"]
+                n for n in res.table.nodes if texts[n] == row["reducer_key"]
             )
             heights.append(res.table.height_of[res.table.id_of[node]])
         assert heights == sorted(heights)
@@ -677,10 +681,9 @@ def _mapper_route(w, formula, budget):
     """The record-by-record mapper route: markers planted per mapped record
     instead of seeded by the runner.  Used to pin the runner's seeding."""
     if budget is not None:
-        run_root, _ = pipeline_formula(formula, budget)
+        table = analyze(pipeline_formula(formula, budget), operands)
     else:
-        run_root = formula
-    table = analyze(run_root)
+        table = analyze(formula)
     first, last = w.timestamps[0], w.timestamps[-1]
     offsets = (
         compute_offsets(table, last - first)
@@ -733,12 +736,12 @@ class TestTail:
     @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=5),
            words(max_len=7, max_timestamp=20))
     def test_exact_step_operands_are_false_past_the_end(self, f, k, w):
-        plan, guard_map = pipeline_formula(f, k)
+        plan = pipeline_formula(f, k)
         last = w.timestamps[-1]
         for node in postorder(plan):
             if isinstance(node, ExactStep):
                 for t in range(last + 1, last + 1 + node.step):
-                    assert not eval_lazy(w, t, guard_map[node.child]), (to_text(node), t)
+                    assert not eval_lazy(w, t, node.child), (to_text(node), t)
 
     @settings(max_examples=150, deadline=None)
     @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=5),
@@ -861,7 +864,7 @@ def _reach_case(data):
     else:
         k = data.draw(st.integers(min_value=1, max_value=5), label="k")
         kwargs = dict(semantics=LAZY, window_budget=k, anchor=mode)
-        plan = pipeline_formula(f, k)[0]
+        plan = pipeline_formula(f, k)
         anchor = 0 if mode == ANCHOR_ZERO else w.timestamps[0]
     lookahead = _lookahead(plan)
     return f, w, kwargs, None if lookahead is None else anchor + lookahead

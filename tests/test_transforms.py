@@ -1,4 +1,4 @@
-"""Rewrites: lazy translation, window decomposition, guard stripping."""
+"""Rewrites: lazy translation, window decomposition, guards read as operands."""
 
 import itertools
 import random
@@ -20,6 +20,7 @@ from mtlcheck.formula import (
     Not,
     Or,
     Until,
+    analyze,
     children,
     fold,
     minkowski_sum,
@@ -37,9 +38,9 @@ from mtlcheck.transforms import (
     decompose,
     lazy_translation,
     max_bounded_upper,
+    operands,
     pipeline_formula,
     split_zero_window,
-    strip_position_guards,
 )
 from oracles import formulas, naive_lazy, random_word, words
 
@@ -229,7 +230,8 @@ class TestDecompose:
 
     def test_exact_step_nodes_larger_than_budget_are_split(self):
         # the trailing zero-width window carries the position discipline
-        # for the stripped pipeline form, so it is not collapsed away
+        # for the pipeline, which reads through the guards, so it is not
+        # collapsed away
         got = decompose(ExactStep(6, P), 3)
         assert to_text(got) == "F=3 (F=3 (F=0 p))"
 
@@ -332,46 +334,41 @@ class TestBoundedUntilExpansion:
 
 
 class TestGuardStripping:
+    """A plan keeps its position guards; ``operands`` strips them as the
+    pipeline walks the plan, reading each guard as the operand it guards."""
+
     def test_strips_conjunction_guards(self):
         guarded = Eventually(Interval(0, 3), And(Act(), P))
-        stripped, mapping = strip_position_guards(guarded)
-        assert stripped == Eventually(Interval(0, 3), P)
-        assert mapping[stripped] == guarded
-        # a guard around a bare atom is dropped outright: atoms only hold
-        # at positions anyway
-        assert mapping[P] == P
+        assert operands(guarded) == (P,)
+        assert analyze(guarded, operands).nodes == [P, guarded]
 
     def test_strips_disjunction_guards(self):
         guarded = Globally(Interval(0, 4, False, True), Or(Not(Act()), P))
-        stripped, mapping = strip_position_guards(guarded)
-        assert stripped == Globally(Interval(0, 4, False, True), P)
-        assert mapping[stripped] == guarded
+        assert operands(guarded) == (P,)
+        until = Until(Interval(0, 2), Or(Not(Act()), P), And(Act(), Atom("q")))
+        assert operands(until) == (P, Atom("q"))
 
     def test_leaves_ordinary_structure_alone(self):
         f = parse_formula("!(a | b) & F[0,2] c")
-        stripped, mapping = strip_position_guards(f)
-        assert stripped == f
-        assert all(mapping[n] == n for n in _all_nodes(f))
+        assert analyze(f, operands).nodes == postorder(f)
+        # only Act on the left is a guard
+        for node in (And(P, Act()), Or(Act(), P), And(Not(Act()), P), Or(Not(P), P)):
+            assert operands(Not(node)) == (node,)
 
     @settings(max_examples=150, deadline=None)
     @given(formulas(max_depth=3, max_bound=10), st.integers(min_value=1, max_value=5))
-    def test_pipeline_formula_has_no_markers_and_total_mapping(self, f, k):
-        stripped, mapping = pipeline_formula(f, k)
-        for node in _all_nodes(stripped):
-            assert not isinstance(node, Act)
-            assert node in mapping
-        assert set(mapping) == set(_all_nodes(stripped))
-        assert max_bounded_upper(stripped) <= k
-        assert mapping[stripped] == decompose(lazy_translation(f), k)
-
-    @settings(max_examples=100, deadline=None)
-    @given(formulas(max_depth=3, max_bound=8), st.integers(min_value=1, max_value=4),
-           words(max_len=6, max_timestamp=18))
-    def test_guarded_originals_keep_the_meaning(self, f, k, w):
-        stripped, mapping = pipeline_formula(f, k)
-        target = decompose(lazy_translation(f), k)
-        for t in (0, w.timestamps[0]):
-            assert eval_lazy(w, t, mapping[stripped]) == eval_lazy(w, t, target)
+    def test_budget_plan_keys_hold_no_marker(self, f, k):
+        plan = pipeline_formula(f, k)
+        assert plan == decompose(lazy_translation(f), k)
+        table = analyze(plan, operands)
+        assert table.root == plan
+        assert not any(isinstance(node, Act) for node in table.nodes)
+        # every key is a node of the plan; only guards, Act and !Act are not keys
+        markers = (Act(), Not(Act()))
+        assert set(table.nodes) <= set(postorder(plan))
+        for node in set(postorder(plan)) - set(table.nodes):
+            assert node in markers or isinstance(node, (And, Or)) and node.left in markers
+        assert max_bounded_upper(plan) <= k
 
 
 class TestFold:
