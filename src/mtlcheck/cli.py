@@ -129,15 +129,15 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     if args.table is not None:
         try:
-            text = eval_table(word, target, reading).tsv_text()
+            table = eval_table(word, target, reading)
         except EvaluationError as exc:
             return _fail(str(exc))
         if args.table == "-":
-            sys.stdout.write(text)
+            table.to_tsv(sys.stdout)
         else:
             try:
                 with open(args.table, "w", encoding="utf-8") as fh:
-                    fh.write(text)
+                    table.to_tsv(fh)
             except OSError as exc:
                 return _fail(str(exc))
 

@@ -7,8 +7,7 @@ reduces all keys of the next height, so a run takes as many iterations as
 the formula is tall.  Every key's output is routed to the keys of its
 superformulas, and each key also receives sanctioned virtual-instant
 markers; reducers process one key's records in descending timestamp order
-with a sliding window whose retention span is the key's interval widened
-to zero.
+with a sliding window over the key's interval.
 
 Records are packed into single integers::
 
@@ -35,10 +34,11 @@ pass, groups it by instant and deduplicates while it reduces.
   This enforces the position-marker guards of the plan, which the keys
   read through (``transforms.operands``), so no guard is a key.
 
-Window buffers answer each probe in amortized O(1): a second head skips
-entries beyond the interval's upper edge, which never come back in range
-as instants decrease (the monotone-window idea of Lemire's streaming
-min/max filter).
+Window buffers answer each instant in amortized O(1) with one cursor: at
+every instant that pushes or answers, the buffer's head evicts the entries
+beyond the interval's upper edge, which never come back in range as
+instants decrease, and the head left is the answer (the monotone-window
+idea of Lemire's streaming min/max filter).
 
 The runner walks the trace backward in blocks of ``BLOCK`` elements, the
 last block first.  A block's instants are those after the previous
@@ -131,7 +131,6 @@ from .formula import (
     Until,
     analyze,
     closed_bounds,
-    convex_union_with_zero,
     node_interval,
     node_texts,
     postorder,
@@ -277,24 +276,23 @@ def shuffle_sort(records: list[int]) -> list[int]:
 
 REAL_MASK = CHILD_MASK << 3  # nonzero exactly for real (non-marker) records
 # A window buffer compacts once its evicted slots pass COMPACT_AFTER and an
-# eighth of its live ones.  It looks only when they pass the larger of the
-# two as last computed, so it holds at most its live entries plus
-# COMPACT_AFTER or an eighth of its peak, and each compaction's copy is
-# paid for by the evictions since the last one.
+# eighth of its live ones, so it holds at most its live entries plus the
+# larger of COMPACT_AFTER and an eighth of them, and each compaction's copy
+# is paid for by the evictions since the last one.
 COMPACT_AFTER = 32
 
 
 @dataclass(slots=True)
 class WindowState:
     """A window reducer's buffer between calls over consecutive blocks of
-    one key's stream: ``win[head:]`` holds the live entries, ``far`` is the
-    probe head, and ``peak`` the most live entries seen.  The entries are
-    instants, at most the last timestamp, so ``win`` holds them as 8-byte
-    machine integers (``array('q')``), not as int objects."""
+    one key's stream: ``win`` holds the buffered instants, ``win[head:]``
+    the live ones, with ``head`` the buffer's one cursor, and ``peak`` is
+    the most live entries seen.  The entries are instants, at most the last
+    timestamp, so ``win`` holds them as 8-byte machine integers
+    (``array('q')``), not as int objects."""
 
     win: array = field(default_factory=lambda: array("q"))
     head: int = 0
-    far: int = 0
     peak: int = 0
 
 
@@ -321,29 +319,29 @@ def reduce_window(
     eventually and exact-step, right-operand witnesses for until, and,
     with ``universal`` set, violations for globally, whose value is then
     true exactly when no violation is in range), keeps the buffer within
-    the zero-widened interval span, and answers each emission instant by
-    probing the buffer against the shifted interval.  Until is eventually
+    the interval's upper edge, and answers each emission instant by reading
+    the buffer's head against the shifted interval.  Until is eventually
     over its right operand (``F[I] r`` is ``true U[I] r``) except that a
     failing left operand cuts off older witnesses: with ``cut_id`` set, a
     position record of that child with truth false discards, after the
     instant is answered, every buffered witness later than the instant.
 
-    The buffer ``win[head:]`` holds instants in descending order.  ``head``
-    evicts entries whose spread from the newest entry exceeds the span (or
-    that a cut discarded); ``far`` skips entries beyond the interval's
-    upper edge, which never come back in range because instants only
-    decrease.  A probe then reads the farthest live entry, ``win[far]``, so
-    each is amortized O(1).  Reading an entry of the array makes an int
-    object, so the spread is checked only after a push, the head entry's
-    value is kept from the eviction that read it, and a probe reads each
-    other entry once: when every instant pushes one entry and evicts one,
-    as in a full window, an instant reads one entry.  Evicted slots are
-    dropped in bulk once they pass an eighth of the live ones (see
-    ``COMPACT_AFTER``), so memory stays proportional to the window, not to
-    the stream.  ``key`` names
-    the key in errors; it is formatted only when one is raised.
+    The buffer ``win[head:]`` holds instants in descending order.  At every
+    instant that pushes or answers, ``head`` evicts the entries beyond the
+    interval's upper edge, which never come back in range because instants
+    only decrease, and a cut evicts the ones it discards.  The head is then
+    the latest entry in range, and the answer is whether it clears the
+    lower edge (the universal value when the buffer is empty), so each
+    instant is amortized O(1).  Reading an entry of the array makes an int
+    object, so the head entry's value is kept from the eviction that read
+    it, and each entry is read at most once: when every instant pushes one
+    entry and evicts one, as in a full window, an instant reads one entry.
+    Evicted slots are dropped in bulk once they pass an eighth of the live
+    ones (see ``COMPACT_AFTER``), so memory stays proportional to the
+    window, not to the stream.  ``key`` names the key in errors; it is
+    formatted only when one is raised.
 
-    With ``state`` given, the buffer and its heads are taken from it and
+    With ``state`` given, the buffer and its head are taken from it and
     left in it, so a key's stream can be reduced block by block, later
     instants first, with the same outputs as in one call; the peak
     returned is then the largest over every block so far.  An instant's
@@ -355,7 +353,6 @@ def reduce_window(
     sparse nested one.
     """
     lo, up = closed_bounds(interval)
-    span = closed_bounds(convex_union_with_zero(interval))[1]
     sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
     sel_want = (child_id << 3) | (0 if universal else TRUTH_FLAG) | (
         0 if admit_any else POSITION_FLAG
@@ -368,10 +365,9 @@ def reduce_window(
         up = 1 << 64  # exceeded by no distance between instants
     if state is None:
         state = WindowState()
-    win, head, far, peak = state.win, state.head, state.far, state.peak
+    win, head, peak = state.win, state.head, state.peak
     end = len(win)
     head_val = win[head] if head < end else 0  # win[head] while the buffer is not empty
-    compact_at = COMPACT_AFTER  # evicted slots past which the rule is checked again
     outputs: list[int] = []
     i = 0
     n = len(records)
@@ -406,37 +402,27 @@ def reduce_window(
             r = records[i]
             if (r >> TAU_SHIFT) != tau:
                 break
-        if len(win) != end:  # only a new entry, at tau, moves the spread or the peak
+        if len(win) != end:  # a new entry, at tau
             if head == end:  # the buffer was empty: the new entry is its head
                 head_val = tau
             end = len(win)
-            if span is not None:
-                limit = tau + span
-                while head_val > limit:
-                    head += 1
-                    head_val = win[head]
-            if end - head > peak:
-                peak = end - head
-        if head > compact_at:
-            live = end - head
-            if head > live >> 3:
-                del win[:head]
-                far -= head
-                end = live
-                head = 0
-            compact_at = max(COMPACT_AFTER, live >> 3)
+        elif not emit:  # nothing to push or answer (a cut comes with a position record)
+            continue
+        limit = tau + up
+        while head < end and head_val > limit:  # past the upper edge for good
+            head += 1
+            if head < end:
+                head_val = win[head]
+        if end - head > peak:
+            peak = end - head
+        if head > COMPACT_AFTER and head > (end - head) >> 3:
+            del win[:head]
+            end -= head
+            head = 0
         if emit:
-            if far < head:
-                far = head
-            limit = tau + up
-            while far < end:  # each entry is read once per probe, the head not again
-                entry = head_val if far == head else win[far]
-                if entry <= limit:
-                    val = (entry - tau >= lo) != universal
-                    break
-                far += 1
-            else:
-                val = universal
+            # the head is the latest entry in reach, so the window holds an
+            # entry iff the head clears the lower edge
+            val = (head_val - tau >= lo) != universal if head < end else universal
             outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
         if cut:
             # a failing left operand at this position cuts continuity for
@@ -445,7 +431,7 @@ def reduce_window(
                 head += 1
                 if head < end:
                     head_val = win[head]
-    state.head, state.far, state.peak = head, far, peak
+    state.head, state.peak = head, peak
     return outputs, peak
 
 

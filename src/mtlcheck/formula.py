@@ -149,15 +149,6 @@ def overlap_union(i: Interval, j: Interval) -> Interval:
     return Interval(lower, upper, lower_closed, upper_closed)
 
 
-def convex_union_with_zero(i: Interval) -> Interval:
-    """Smallest interval containing {0} and all of ``i``.
-
-    This is the retention span of the sliding windows: an entry is kept
-    while its distance from the newest entry still falls in here.
-    """
-    return Interval(0, i.upper, True, i.upper_closed if i.upper is not None else False)
-
-
 def without_zero(i: Interval) -> Interval:
     """Drop the point 0 from an interval (used by the X sugar)."""
     if i.lower == 0 and i.lower_closed:
@@ -496,11 +487,7 @@ class _Lexer:
 
 def _parse_interval(lx: _Lexer) -> Interval:
     if lx.accept("punct", "="):
-        tok = lx.expect("num")
-        value = int(tok)
-        if value < 0:
-            raise FormulaError("interval bounds must be non-negative")
-        return singleton(value)
+        return singleton(int(lx.expect("num")))
     tok = lx.peek()
     if tok[0] == "punct" and tok[1] in ("[", "("):
         open_tok = lx.next()[1]
@@ -515,10 +502,6 @@ def _parse_interval(lx: _Lexer) -> Interval:
             lx.next()
         else:
             raise FormulaError(f"expected ']' or ')' at position {close[2]}")
-        if lower < 0 or (upper is not None and upper < 0):
-            raise FormulaError("interval bounds must be non-negative")
-        if upper is None and close[1] == "]":
-            raise FormulaError("an unbounded interval cannot be closed above")
         return Interval(lower, upper, open_tok == "[", close[1] == "]")
     return FULL
 

@@ -32,7 +32,6 @@ trace.
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Generator, Iterable, TextIO
@@ -205,11 +204,6 @@ class EvalTable:
         for node_id in sorted(self.rows, key=lambda i: (height[i], i)):
             cells = [TRUE_CELL if self.rows[node_id][k] else FALSE_CELL for k in self.keys]
             stream.write(texts[self.table.node(node_id)] + "\t" + "\t".join(cells) + "\n")
-
-    def tsv_text(self) -> str:
-        buf = io.StringIO()
-        self.to_tsv(buf)
-        return buf.getvalue()
 
 
 def eval_table(word: TimedWord, formula: Formula, semantics: str) -> EvalTable:

@@ -163,15 +163,6 @@ def intervals_overlap(i: Interval, j: Interval, denominator: int = 2) -> bool:
     return False
 
 
-def hull_with_zero_contains(i: Interval, x: int, denominator: int = 2) -> bool:
-    """Whether integer x lies in the smallest interval holding {0} and i."""
-    if x == 0:
-        return True
-    if x < 0:
-        return False
-    return any(x <= a for a in interval_sample_points(i, denominator))
-
-
 # ---------------------------------------------------------------------------
 # Naive semantics (integer instants)
 # ---------------------------------------------------------------------------

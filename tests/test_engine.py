@@ -361,10 +361,12 @@ REDUCER_KINDS = {
 }
 
 
-def _run_reducer(side, records, kind, iv, leafs):
+def _run_reducer(side, records, kind, iv, leafs, **extra):
     """The engine's or the oracle's (outputs, peak) for a reducer kind, or
-    the EngineError text it raised."""
+    the EngineError text it raised; ``extra`` goes to the reducer as
+    keywords (a window key's carried ``state``)."""
     fn, args, kwargs = REDUCER_KINDS[kind][side]
+    kwargs = {**kwargs, **extra}
     try:
         if fn in (reduce_join, naive_reduce_join):
             return fn(records, args[0], leafs[: len(args[0])], kind, KEY, "k")
@@ -426,6 +428,19 @@ class TestFusedReducers:
         got = _run_reducer(ENGINE, shuffle_sort(list(records)), kind, iv, leafs)
         want = _run_reducer(ORACLE, records, kind, iv, leafs)
         assert got == want
+        if REDUCER_KINDS[kind][ENGINE][0] is reduce_window:
+            # the same stream in two blocks through one carried buffer,
+            # split at an instant boundary: an instant's records are in one
+            ordered = shuffle_sort(list(records))
+            cut = data.draw(st.integers(min_value=0, max_value=17))
+            split = sum(record_tau(r) >= cut for r in ordered)
+            state = WindowState()
+            first = _run_reducer(ENGINE, ordered[:split], kind, iv, leafs, state=state)
+            second = _run_reducer(ENGINE, ordered[split:], kind, iv, leafs, state=state)
+            if isinstance(want, str):
+                assert want in (first, second)
+            else:
+                assert (first[0] + second[0], second[1]) == want
 
     @pytest.mark.parametrize("shape", ["lower-bounded", "open-edged", "unbounded"])
     @pytest.mark.parametrize("kind", ["eventually", "globally", "until"])
@@ -480,6 +495,17 @@ class TestWindowState:
             assert len(state.win) <= live + max(engine.COMPACT_AFTER, peak // 8)
         assert (outputs, peak) == (whole, whole_peak)
         assert peak // 8 > engine.COMPACT_AFTER
+
+    def test_answered_instants_evict_past_the_upper_edge(self):
+        # under F[0,3], a witness at 100 is out of reach of every answer
+        # from 50 down, so the first of them empties the buffer
+        records = [pack_record(100, LEFT, True, True, False)]
+        records += [pack_record(t, LEFT, False, True, False) for t in range(50, 44, -1)]
+        state = engine.WindowState()
+        outputs, peak = reduce_window(records, LEFT, Interval(0, 3), KEY, state=state)
+        assert len(state.win) - state.head == 0
+        assert [r & 1 for r in outputs] == [1, 0, 0, 0, 0, 0, 0]
+        assert peak == 1
 
     def test_buffer_holds_at_most_12_bytes_per_record(self):
         # G[0,9999] over 10,000 violations buffers every one of them

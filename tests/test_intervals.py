@@ -1,4 +1,4 @@
-"""Interval algebra: construction, membership, sums, unions, zero hulls."""
+"""Interval algebra: construction, membership, sums and unions."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +9,12 @@ from mtlcheck.formula import (
     FULL,
     FormulaError,
     Interval,
-    convex_union_with_zero,
     minkowski_sum,
     overlap_union,
     singleton,
     without_zero,
 )
-from oracles import hull_with_zero_contains, intervals, sum_set_contains, union_contains
+from oracles import intervals, sum_set_contains, union_contains
 
 
 class TestConstruction:
@@ -117,25 +116,6 @@ class TestOverlapUnion:
         else:
             got = overlap_union(i, j)
             assert got.contains(x) == union_contains(i, j, x)
-
-
-class TestZeroHull:
-    def test_plain_window(self):
-        assert convex_union_with_zero(Interval(3, 7)) == Interval(0, 7)
-
-    def test_window_already_anchored_at_zero(self):
-        assert convex_union_with_zero(Interval(0, 13)) == Interval(0, 13)
-
-    def test_open_brackets_keep_the_upper_edge(self):
-        assert convex_union_with_zero(Interval(5, 9, False, False)) == Interval(0, 9, True, False)
-
-    def test_unbounded(self):
-        assert convex_union_with_zero(Interval(3, None, True, False)) == FULL
-
-    @settings(max_examples=200, deadline=None)
-    @given(intervals(max_bound=30), st.integers(min_value=-2, max_value=35))
-    def test_membership_matches_hull(self, iv, x):
-        assert convex_union_with_zero(iv).contains(x) == hull_with_zero_contains(iv, x)
 
 
 class TestWithoutZero:

@@ -1,5 +1,6 @@
 """Reference evaluators: point semantics, lazy semantics, tables, verdicts."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -148,7 +149,9 @@ class TestEvalTable:
     def test_tsv_golden(self):
         w = word((("p",), 1), (("q",), 2))
         table = eval_table(w, parse_formula("p & q"), POINT)
-        assert table.tsv_text() == (
+        buf = io.StringIO()
+        table.to_tsv(buf)
+        assert buf.getvalue() == (
             "formula\t0\t1\n"
             "p\t⊤\t⊥\n"
             "q\t⊥\t⊤\n"
