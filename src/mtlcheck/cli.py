@@ -356,6 +356,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:  # the reader is gone: flush what is left to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return _fail("standard output was closed before the output was written")
+    except MemoryError:  # a resource ran out; the input is not at fault
+        return _fail("out of memory")
     except Exception as exc:  # a defect, not a verdict: exit 1 would read as false
         message = " ".join(str(exc).split())
         return _fail(f"internal error: {type(exc).__name__}: {message}")

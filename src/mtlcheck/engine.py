@@ -14,8 +14,8 @@ Records are packed into single integers::
     (timestamp << 24) | (child_id << 3) | flags
 
 with flag bits 1 = truth, 2 = position record, 4 = sanctioned marker.
-Child id 0 is reserved for the position marker; formula node ids start
-at 1.  A record's key is implicit in the per-key list holding it.
+Child id 0 is reserved for markers, which carry no operand value; formula
+node ids start at 1.  A record's key is implicit in the per-key list holding it.
 
 There are two reducers: ``reduce_window`` for eventually, globally,
 exact-step and until keys, and ``reduce_join`` for boolean keys.  Each
@@ -65,16 +65,19 @@ the step for an exact step; an unbounded interval reaches the end).  This
 is sound because a key's value at an instant t depends only on its
 operands' values from t to t plus its upper bound: a window key buffers
 witnesses from that range, a boolean key joins its operands at t, and an
-exact step reads its operand at t plus the step.  By induction from the
-root, a key's outputs up to its reach are what a run over the whole
-trace gives there, if each parent receives its operands' records up to
-its reach plus its upper bound.  No element lies between the last one at
-or before the deepest reach and that reach, so a trace cut after that
-element gives the same values up to every reach (what a step reads past
-the last element is false either way; see below).  So the backward walk
-starts at that element and reads the trace as if it ended there (its
-offset horizon comes from that prefix); ``route``
-hands each parent only the records up to its reach plus its upper bound,
+exact step reads its operand at t plus the step.  An eventually, globally
+or until key reads its operands only at positions, so what it passes down
+is the last position in that range.  By induction from the root, a key's
+outputs up to its reach are what a run over the whole trace gives there,
+if each parent receives its operands' records up to the last instant it
+reads them at.  No element lies between the last one at or before the
+deepest instant of the formula's lookahead (the anchor plus the largest
+sum of upper bounds on a path from the root) and that instant, so a
+trace cut after that element gives the same values up to every reach
+(what a step reads past the last element is false either way; see
+below).  So the backward walk starts at that element and reads the trace
+as if it ended there (its offset horizon comes from that prefix);
+``route`` hands each parent only the records up to that last instant,
 all its operands alike, so a boolean key never misses an operand; each
 key takes only its markers up to its reach; and a key with nothing to
 take in a block is not called.  A key's outputs past its reach, made from
@@ -82,9 +85,41 @@ cut inputs, reach no reader.  A run that collects streams reads every
 key to the end, so its streams are full.  ``--stats`` reports the
 elements the walk covered as ``elements_reduced``: ``F[0,10] p`` reduces
 11 elements of a unit-spaced trace however long it is (the whole trace
-is still parsed and checked first).  The slicing of time by a formula's
-lookahead is that of Basin et al., "Scalable offline monitoring of
-temporal specifications" (FMSD 2016).
+is still parsed and checked first).
+
+Each key is likewise reduced only from its *floor*, the first instant any
+reader reads it at: the root's floor is the anchor, and a child's is the
+smallest, over its parents, of the parent's floor plus its lower bound
+for that operand (0 for a boolean key and for until's left operand,
+which until reads from its own instant on; the step for an exact step;
+the closed lower bound for the operand of eventually and globally and
+for until's right operand), taken up to the next position under an
+eventually, globally or until parent.  A key whose floor passes its
+reach is read at no instant (one under a window that holds no position
+or no integer), so it reads nothing and sets no child's floor.  A key's
+value at an instant t reads each operand only from t plus its lower
+bound for it on, so ``route`` cuts each parent's input, which is
+descending, to the instants from there up to the last it reads, in one
+slice, and ``take`` drops the sanctioned markers below the key's floor.
+A key answers an instant only when a position record or a sanctioned
+marker arrives there, and the cut takes from an eventually, globally or
+exact-step key with a positive lower bound the operand records that made
+it answer at the positions from its floor up to its floor plus that
+bound, where its readers still read it (an until's left operand still
+arrives there).  So ``take`` plants a *position marker* at each of the
+block's positions in that range (up to the key's reach): child 0 with
+the position and sanctioned flags, which ``reduce_window`` answers as a
+position, so the output keeps its position flag.  ``--stats`` counts
+position markers in ``records_in`` but not in ``markers``.  Seeding is
+clipped as well: each offset set's walk covers only the span from the
+lowest floor to the highest reach of the keys that hold it, since no key
+takes a marker outside its own; whether a block has a gap is still
+judged over the whole block.  A run that collects streams keeps every
+floor at 0, so its streams start at the first element; its keys with a
+positive lower bound are still cut below that bound and given position
+markers there, which changes no output.  The slicing of time by both
+ends of a formula's windows is that of Basin et al., "Scalable offline
+monitoring of temporal specifications" (FMSD 2016).
 
 Markers go only to gaps between positions up to the last one, and no key
 emits a record past the last element: the decomposition puts every exact
@@ -146,6 +181,7 @@ TAU_SHIFT = CHILD_BITS + 3
 TRUTH_FLAG = 1
 POSITION_FLAG = 2
 SANCTIONED_FLAG = 4
+POSITION_MARKER = POSITION_FLAG | SANCTIONED_FLAG  # with child 0: answer here, as a position
 
 
 class EngineError(RuntimeError):
@@ -221,9 +257,13 @@ def compute_offsets(table: FormulaTable, horizon: int) -> list[frozenset[int]]:
     decreasing ids visit every parent before its children.  Offsets only
     grow along a chain, so clipping each step clips the result, and a deep
     chain over a short trace keeps few offsets; with horizon 0 every key
-    keeps ``{0}``.  Keys with equal offsets mostly share one set.
+    keeps ``{0}``.  Each set made passes through one intern table, so keys
+    with equal offsets share one set object: a chain of thousands of hops
+    over a short trace holds a few distinct sets, not one per key.
     """
-    offsets = [frozenset({0})] * (table.size + 1)
+    zero = frozenset({0})
+    interned = {zero: zero}
+    offsets = [zero] * (table.size + 1)
     for node_id in range(table.size, 0, -1):
         node = table.node(node_id)
         if isinstance(node, ExactStep):
@@ -235,31 +275,90 @@ def compute_offsets(table: FormulaTable, horizon: int) -> list[frozenset[int]]:
             continue
         for child in table.child_ids[node_id]:
             if not contribution <= offsets[child]:
-                offsets[child] |= contribution
+                merged = offsets[child] | contribution
+                offsets[child] = interned.setdefault(merged, merged)
     return offsets
 
 
 END = TIMESTAMP_MAX + 1  # a reach past every element: the whole trace is read
 
 
-def compute_reach(table: FormulaTable, root_reach: int) -> tuple[list[int], list[int]]:
+def compute_reach(
+    table: FormulaTable, root_reach: int, positions: Sequence[int]
+) -> tuple[list[int], list[int], int]:
     """Two lists indexed by key id: each key's reach, the last instant any
     reader reads it at, and the last instant it reads its operands at, its
     reach plus its upper bound (0 for boolean keys, the step for exact
-    steps, ``END`` for an unbounded interval; capped at ``END``).  The
-    root's reach is ``root_reach``, and a child's is the latest instant
-    any of its parents reads it at.  Ids are assigned children first, so
-    decreasing ids visit every parent before its children."""
+    steps, ``END`` for an unbounded interval; capped at ``END``); and the
+    deepest instant of the formula's lookahead, ``root_reach`` plus the
+    largest sum of upper bounds on a path from the root.  An eventually,
+    globally or until key reads its operands only at ``positions``, so the
+    last instant it reads them at is the last position up to its reach plus
+    its upper bound (-1 if there is none).  The root's reach is
+    ``root_reach``, and a child's is the latest instant any of its parents
+    reads it at.  Ids are assigned children first, so decreasing ids visit
+    every parent before its children."""
     reach = [root_reach] * (table.size + 1)
     reads = [root_reach] * (table.size + 1)
+    ahead = [root_reach] * (table.size + 1)  # the same sums, not cut at positions
     for node_id in range(table.size, 0, -1):
-        interval = node_interval(table.node(node_id))
+        node = table.node(node_id)
+        interval = node_interval(node)
         up = 0 if interval is None else closed_bounds(interval)[1]
-        last = reads[node_id] = END if up is None else min(reach[node_id] + up, END)
+        last = END if up is None else min(reach[node_id] + up, END)
+        further = END if up is None else min(ahead[node_id] + up, END)
+        if interval is not None and not isinstance(node, ExactStep):
+            j = bisect_right(positions, last)
+            last = positions[j - 1] if j else -1
+        reads[node_id] = last
         for child in table.child_ids[node_id]:
             if reach[child] < last:
                 reach[child] = last
-    return reach, reads
+            if ahead[child] < further:
+                ahead[child] = further
+    return reach, reads, max(ahead)
+
+
+def compute_floor(
+    table: FormulaTable, root_floor: Optional[int], reach: Sequence[int],
+    positions: Sequence[int],
+) -> tuple[list[int], list[int], list[int]]:
+    """Three lists indexed by key id, mirroring ``compute_reach``: each
+    key's floor, the first instant any reader reads it at, and the first
+    instants it reads its first and its last operand at.  Both are its
+    floor plus its lower bound (0 for boolean keys, the step for exact
+    steps, the closed lower bound of the interval otherwise), except that
+    until reads its left operand from its own instant on.  The root's floor
+    is ``root_floor``, and a child's is the earliest instant any of its
+    parents reads it at: for an eventually, globally or until parent, which
+    reads only at ``positions``, the first position from that instant on.
+    A key whose floor passes its ``reach`` (one that such a parent reads
+    where no position lies, or under an interval with no integer in it) is
+    read at no instant, so it reads nothing: it reads from ``END`` on and
+    lowers no child's floor.  With ``root_floor`` None every floor is 0: a
+    run that collects streams reads every key from the start."""
+    floor = [0 if root_floor is None else END] * (table.size + 1)
+    if root_floor is not None:
+        floor[table.root_id] = root_floor
+    left_from = [END] * (table.size + 1)
+    right_from = [END] * (table.size + 1)
+    for node_id in range(table.size, 0, -1):
+        if floor[node_id] > reach[node_id]:
+            continue
+        node = table.node(node_id)
+        interval = node_interval(node)
+        lo = 0 if interval is None else closed_bounds(interval)[0]
+        right = right_from[node_id] = floor[node_id] + lo
+        left = left_from[node_id] = floor[node_id] if isinstance(node, Until) else right
+        at_positions = interval is not None and not isinstance(node, ExactStep)
+        for i, child in enumerate(table.child_ids[node_id]):
+            first = left if i == 0 else right
+            if at_positions:
+                j = bisect_left(positions, first)
+                first = positions[j] if j < len(positions) else END
+            if floor[child] > first:
+                floor[child] = first
+    return floor, left_from, right_from
 
 
 def shuffle_sort(records: list[int]) -> list[int]:
@@ -396,6 +495,7 @@ def reduce_window(
                         cut = True
             elif r & SANCTIONED_FLAG:
                 emit = True
+                pos_out |= r & POSITION_FLAG
             i += 1
             if i >= n:
                 break
@@ -592,27 +692,35 @@ def _seed_instants(
     stop: int,
     offs: Iterable[int],
     extra: Iterable[int],
+    first: int,
+    last: int,
 ) -> list[int]:
     """Instants to plant sanctioned markers at in the block of elements
     ``start:stop``, whose instants are ``(positions[start-1],
     positions[stop-1]]`` (from instant zero for the first block): the
     positions shifted by each nonzero offset, plus any extra anchor
-    instants, that fall in the block's gaps.  Over contiguous positions a
-    shifted one is a position or lies past the last element, so the
-    shifts are walked only in a block whose positions, from the one
-    before it, have a gap.  Only anchor instants fall before the first
-    element, and on a trace without gaps the runner's horizon keeps no
-    offset past those."""
+    instants, that fall in the block's gaps and in ``[first, last]``, the
+    span from the lowest floor to the highest reach of the keys that hold
+    the offsets (no key takes a marker outside its own floor and reach).
+    Over contiguous positions a shifted one is a position or lies past the
+    last element, so the shifts are walked only in a block whose
+    positions, from the one before it, have a gap; that test reads the
+    whole block, not its clipped part.  Only anchor instants fall before
+    the first element, and on a trace without gaps the runner's horizon
+    keeps no offset past those."""
     lo = positions[start - 1] if start else -1
     hi = positions[stop - 1]
+    low, high = max(lo, first - 1), min(hi, last)  # the clipped (low, high]
+    if low >= high:
+        return []
     inst: set[int] = set()
     if hi - (lo if start else positions[0] - 1) > stop - start:
         for off in offs:
             if off:
-                i = bisect_right(positions, lo - off)
-                j = bisect_right(positions, hi - off)
+                i = bisect_right(positions, low - off)
+                j = bisect_right(positions, high - off)
                 inst.update(t + off for t in positions[i:j])
-    inst.update(o for o in extra if lo < o <= hi)
+    inst.update(o for o in extra if low < o <= high)
     if inst:
         inst.difference_update(positions[start:stop])
     return sorted(inst)
@@ -645,8 +753,8 @@ def run_pipeline(
 
     With ``collect_streams`` the result keeps every key's output stream,
     over the whole trace, and the guard map the streams are checked
-    against; without it both are None and each key is reduced only up to
-    its reach (see the module docstring).
+    against; without it both are None and each key is reduced only from
+    its floor up to its reach (see the module docstring).
     """
     if semantics not in (POINT, LAZY):
         raise EngineError(f"unknown semantics {semantics!r}")
@@ -672,13 +780,18 @@ def run_pipeline(
         raise EngineError("formula too large for the record encoding")
     positions = word.timestamps
     anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
-    reach, reads = compute_reach(table, END if collect_streams else anchor_instant)
-    # the walk covers the elements up to the deepest reach (at least the
-    # first, whose block holds the anchor), and reads the trace as if it
-    # ended there.  On a prefix without gaps a shifted position is a
-    # position or lies past the last element, so only anchor instants
-    # before the first element can be gaps there.
-    walked = max(bisect_right(positions, max(reach)), 1)
+    reach, reads, deepest = compute_reach(
+        table, END if collect_streams else anchor_instant, positions
+    )
+    floor, left_from, right_from = compute_floor(
+        table, None if collect_streams else anchor_instant, reach, positions
+    )
+    # the walk covers the elements up to the lookahead's deepest instant
+    # (at least the first, whose block holds the anchor), and reads the
+    # trace as if it ended there.  On a prefix without gaps a shifted
+    # position is a position or lies past the last element, so only anchor
+    # instants before the first element can be gaps there.
+    walked = max(bisect_right(positions, deepest), 1)
     first, last = positions[0], positions[walked - 1]
     gapped = walked <= last - first
     horizon = last - anchor_instant if gapped else max(first - 1 - anchor_instant, 0)
@@ -700,19 +813,27 @@ def run_pipeline(
     inboxes: dict[int, list[int]] = {}
     block_markers: dict[frozenset[int], list[int]] = {}
     last_taker = {offsets[kid]: kid for kid in order}
+    # each set's seeding span: from the lowest floor to the highest reach
+    # of the keys that hold it
+    spans: dict[frozenset[int], tuple[int, int]] = {}
+    for kid in order:
+        low, high = spans.get(offsets[kid], (END, 0))
+        spans[offsets[kid]] = min(low, floor[kid]), max(high, reach[kid])
 
     # Records move between keys only through these helpers, so no local
     # name keeps a consumed inbox or a routed output alive while the next
     # key is reduced.
     def route(key_id: int, records: list[int]) -> None:
         """Hand a key's block records, timestamps descending, to each parent,
-        cut after the last instant that parent reads its operands at."""
+        cut to the instants that parent reads this operand at."""
         for parent_id in table.parent_ids[key_id]:
-            bound = (reads[parent_id] + 1) << TAU_SHIFT  # above every record it reads
-            if records and records[0] >= bound:
-                part = records[bisect_right(records, -bound, key=neg):]
-            else:
-                part = records
+            top = (reads[parent_id] + 1) << TAU_SHIFT  # above every record it reads
+            starts = left_from if table.child_ids[parent_id][0] == key_id else right_from
+            bottom = starts[parent_id] << TAU_SHIFT  # at or below every record it reads
+            part = records
+            if records and (records[0] >= top or records[-1] < bottom):
+                part = records[bisect_right(records, -top, key=neg):
+                               bisect_right(records, -bottom, key=neg)]
             inboxes.setdefault(parent_id, []).extend(part)
 
     def read(start: int, stop: int) -> None:
@@ -724,22 +845,31 @@ def run_pipeline(
             route(atom_id, records)
 
     def take(key_id: int, start: int, stop: int) -> tuple[list[int], int]:
-        """A key's block inbox plus its sanctioned markers in the block (none
-        in point mode, where every offset set is {0}) up to its reach, and
-        their number."""
+        """A key's block inbox plus its markers in the block: its sanctioned
+        markers (none in point mode, where every offset set is {0}) from its
+        floor up to its reach, and their number; and, when its operands are
+        read only from past its floor, a position marker at each of the
+        block's positions from its floor up to that first read instant (or
+        past its reach), which no operand record marks as a position any
+        more."""
         records = inboxes.pop(key_id, [])
         offs = offsets[key_id]
         markers = block_markers.get(offs)
         if markers is None:
             extra = offs if anchor == ANCHOR_ZERO else ()
-            instants = _seed_instants(positions, start, stop, offs, extra)
+            instants = _seed_instants(positions, start, stop, offs, extra, *spans[offs])
             markers = block_markers[offs] = [(t << TAU_SHIFT) | SANCTIONED_FLAG for t in instants]
         if last_taker[offs] == key_id:
             del block_markers[offs]
-        bound = (reach[key_id] + 1) << TAU_SHIFT
-        if markers and markers[-1] >= bound:  # ascending
-            markers = markers[:bisect_left(markers, bound)]
+        low, high = floor[key_id], reach[key_id] + 1
+        bottom, top = low << TAU_SHIFT, high << TAU_SHIFT
+        if markers and (markers[0] < bottom or markers[-1] >= top):  # ascending
+            markers = markers[bisect_left(markers, bottom):bisect_left(markers, top)]
         records += markers
+        if left_from[key_id] > low:  # positions that no operand record reaches
+            i = bisect_left(positions, low, start, stop)
+            j = bisect_left(positions, min(left_from[key_id], high), i, stop)
+            records += [(t << TAU_SHIFT) | POSITION_MARKER for t in positions[i:j]]
         return records, len(markers)
 
     def reduce_key(kid: int, start: int, stop: int) -> None:

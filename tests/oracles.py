@@ -397,6 +397,41 @@ def map_step(
 
 
 # ---------------------------------------------------------------------------
+# Demand oracle: the (key, instant) pairs a verdict reads
+# ---------------------------------------------------------------------------
+
+def demand(table: FormulaTable, positions: Sequence[int], anchor: int) -> int:
+    """How many (key, instant) pairs some reader reads, counted top-down
+    from the root at the anchor, without short circuits: a boolean key
+    reads its operands at its own instant, an exact step its operand at its
+    instant plus its step, and eventually and globally their operand at the
+    positions in their interval; an until reads its right operand there and
+    its left one at the positions from its instant up to its interval's
+    upper end.  ``table`` indexes the checked plan, whose ids put every
+    parent after its children."""
+    read_at: list[set[int]] = [set() for _ in range(table.size + 1)]
+    read_at[table.root_id].add(anchor)
+    for node_id in range(table.size, 0, -1):
+        node = table.node(node_id)
+        kids = table.child_ids[node_id]
+        for t in read_at[node_id]:
+            if isinstance(node, ExactStep):
+                read_at[kids[0]].add(t + node.step)
+            elif isinstance(node, (Eventually, Globally, Until)):
+                iv = node.interval
+                read_at[kids[-1]].update(
+                    p for p in positions if _contains_fraction(iv, Fraction(p - t)))
+                if isinstance(node, Until):
+                    upto = Interval(0, iv.upper, True, iv.upper_closed)
+                    read_at[kids[0]].update(
+                        p for p in positions if _contains_fraction(upto, Fraction(p - t)))
+            else:
+                for kid in kids:
+                    read_at[kid].add(t)
+    return sum(map(len, read_at))
+
+
+# ---------------------------------------------------------------------------
 # Reducer oracles: per-instant brute force over deduplicated streams
 # ---------------------------------------------------------------------------
 

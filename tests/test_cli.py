@@ -399,6 +399,28 @@ class TestCheck:
             "error: standard output was closed before the output was written"
         ]
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    def test_out_of_memory_is_one_plain_error(self, tmp_path):
+        # the table of this plan holds hundreds of MiB; the child may map
+        # only 64 MiB past what it maps once the package is imported
+        path = tmp_path / "t4.txt"
+        path.write_text(T4_TRACE, encoding="utf-8")
+        code = (
+            "import resource, sys\n"
+            "from mtlcheck.cli import main\n"
+            "with open('/proc/self/statm') as fh:\n"
+            "    limit = int(fh.read().split()[0]) * resource.getpagesize() + (64 << 20)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        argv = ["check", str(path), "-f", "F[0,10000] p", "--k", "100", "--table", os.devnull]
+        src = os.path.dirname(os.path.dirname(mtlcheck.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
     def test_contiguous_trace_plants_no_markers(self, capsys, tmp_path):
         path = tmp_path / "unit.txt"
         path.write_text("".join(f"{t} p{t % 3}\n" for t in range(1, 61)), encoding="utf-8")

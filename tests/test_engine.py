@@ -1,5 +1,6 @@
 """Pipeline operators and the runner."""
 
+import gc
 import io
 import random
 import tracemalloc
@@ -32,10 +33,13 @@ from mtlcheck.formula import (
     Act,
     And,
     Atom,
+    Eventually,
     ExactStep,
+    Globally,
     Interval,
     Not,
     Or,
+    Until,
     analyze,
     closed_bounds,
     fold,
@@ -59,6 +63,7 @@ from mtlcheck.transforms import decompose, lazy_translation, operands, pipeline_
 from oracles import (
     ShownWord,
     check_dup,
+    demand,
     formulas,
     intervals,
     map_step,
@@ -203,6 +208,14 @@ class TestOffsets:
         w = word(*((("p",), t) for t in range(5, 41)))
         built, _ = self._built_offsets(w, ANCHOR_ZERO)
         assert max(max(offs) for offs in built) == 4
+
+    def test_equal_offsets_are_one_set_object(self):
+        # 2,000 hops over a four-instant trace: every key's offsets are one
+        # of a handful of values, each held once
+        table = analyze(pipeline_formula(parse_formula("F[0,2000] p"), 1), operands)
+        offsets = compute_offsets(table, 4)[1:]
+        assert len(set(offsets)) < 10
+        assert len({id(offs) for offs in offsets}) == len(set(offsets))
 
 
 class TestMapStep:
@@ -834,6 +847,26 @@ class TestAgainstTheEvaluators:
                 assert evaluator.eval(res.guard_map[node], record_tau(r)) == record_truth(r)
 
 
+def floor_formulas(allow_unbounded=False):
+    """Random formulas, hop chains (decomposed at a small budget) and windows
+    whose lower bound is positive, over random operands: the shapes whose
+    keys are read from a floor past the anchor."""
+    n = st.integers(min_value=2, max_value=30)
+    chains = st.one_of(
+        st.builds(lambda n: parse_formula(f"F[0,{n}] r"), n),
+        st.builds(lambda n: parse_formula(f"p U[0,{n}] q"), n),
+        st.builds(lambda n: parse_formula(f"G[0,{n}] !r"), n),
+    )
+    kinds = [Eventually, Globally, lambda iv, f: Until(iv, Atom("p"), f)]
+    lower_bounded = st.builds(
+        lambda lo, width, closed, kind, f: kind(Interval(lo, lo + width, True, closed), f),
+        st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=8),
+        st.booleans(), st.sampled_from(kinds), formulas(max_depth=2, max_bound=5),
+    )
+    random_ones = formulas(max_depth=3, max_bound=8, allow_unbounded=allow_unbounded)
+    return st.one_of(random_ones, chains, lower_bounded)
+
+
 def _shown(res):
     """What a run shows: verdict, streams and stats without timings."""
     rows = [(row.reducer_key, row.peak_win, row.records_in, row.markers, row.records_out)
@@ -849,7 +882,7 @@ class TestBlocks:
     @given(st.data())
     def test_block_size_changes_nothing(self, data):
         mode = data.draw(st.sampled_from([POINT, ANCHOR_FIRST, ANCHOR_ZERO]))
-        f = data.draw(formulas(max_depth=3, max_bound=8, allow_unbounded=mode == POINT))
+        f = data.draw(floor_formulas(allow_unbounded=mode == POINT))
         w = data.draw(words(max_len=9, max_timestamp=24))
         if data.draw(st.booleans(), label="contiguous"):
             w = ShownWord(range(1, len(w) + 1), {a: w.column(a) for a in w.atoms})
@@ -883,7 +916,7 @@ def _reach_case(data):
     the run's keyword arguments, in point, first-anchor or zero-anchor
     mode; and the deepest instant the run reads, None when unbounded."""
     mode = data.draw(st.sampled_from([POINT, ANCHOR_FIRST, ANCHOR_ZERO]), label="mode")
-    f = data.draw(formulas(max_depth=3, max_bound=8, allow_unbounded=mode == POINT))
+    f = data.draw(floor_formulas(allow_unbounded=mode == POINT))
     w = data.draw(words(max_len=14, max_timestamp=60))
     if mode == POINT:
         kwargs, plan, anchor = {}, f, w.timestamps[0]
@@ -902,9 +935,11 @@ def _prefix(w, n):
 
 
 class TestReach:
-    """A run without streams reduces each key only up to the last instant
-    its readers read it at, and walks the trace only up to the deepest
-    such instant: the elements past it change nothing the run shows."""
+    """A run without streams reduces each key only from its floor up to
+    the last instant its readers read it at, and walks the trace only up to
+    the deepest such instant: the elements past it change nothing the run
+    shows.  The drawn formulas include hop chains and windows with a
+    positive lower bound, whose keys have floors past the anchor."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -950,9 +985,67 @@ class TestReach:
         assert records_in(20 * engine.BLOCK) == records_in(2 * engine.BLOCK)
 
 
+def _records_in_and_demand(w, f, kwargs):
+    """A run's summed ``records_in``, the demand of its plan (see
+    ``oracles.demand``), and its ``elements_reduced``."""
+    if "window_budget" in kwargs:
+        plan = analyze(pipeline_formula(f, kwargs["window_budget"]), operands)
+    else:
+        plan = analyze(f)
+    anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
+    res = run_pipeline(w, f, **kwargs)
+    records_in = sum(row.records_in for row in res.stats.reducers)
+    return records_in, demand(plan, w.timestamps, anchor), res.stats.elements_reduced
+
+
+# 40 elements, with gaps of 1 and 4
+GAPPED_WORD = word(*(
+    ((("p",), ("q",), ("p", "q"), ("r",))[i % 4], 3 * i + i % 3 + 1) for i in range(40)
+))
+
+
+class TestFloor:
+    """A run without streams reduces each key only from its floor, the
+    first instant its readers read it at, up to its reach, so the records
+    it takes in stay within a small multiple of the (key, instant) pairs
+    its verdict reads, on hop chains too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_records_in_stay_within_the_demand(self, data):
+        f, w, kwargs, _ = _reach_case(data)
+        records_in, wanted, walked = _records_in_and_demand(w, f, kwargs)
+        assert records_in <= 3 * wanted + walked, (records_in, wanted, walked)
+
+    @pytest.mark.parametrize("text", ["F[0,100] r", "p U[0,100] q"])
+    @pytest.mark.parametrize("anchor", [ANCHOR_FIRST, ANCHOR_ZERO])
+    def test_hop_chains_stay_within_the_demand(self, text, anchor):
+        kwargs = dict(semantics=LAZY, window_budget=1, anchor=anchor)
+        f = parse_formula(text)
+        records_in, wanted, walked = _records_in_and_demand(GAPPED_WORD, f, kwargs)
+        assert records_in <= 3 * wanted + walked, (records_in, wanted, walked)
+
+    @pytest.mark.parametrize("budget", [None, 1000])
+    def test_lower_bounded_root_plants_no_marker(self, budget):
+        # the root answers at the anchor from the operand's records at
+        # 2,001 to 4,001: a position marker stands in for the operand's
+        # record at the anchor, and is not counted as a marker
+        w = word(*((("p",) if t % 7 else (), t) for t in range(1, 4101)))
+        f = parse_formula("F[2000,4000] p")
+        res = run_pipeline(w, f, window_budget=budget)
+        assert res.verdict is True
+        assert sum(row.markers for row in res.stats.reducers) == 0
+        if budget is None:
+            assert res.stats.reducers[-1].records_in == 2002
+
+
 def _traced_peak(run):
     """The tracemalloc peak of ``run()`` above the memory held when it
-    starts, and its result."""
+    starts, and its result.  A full collection first empties the
+    interpreter's free lists of tuples, lists and dicts, whose reuse would
+    otherwise hide up to a few hundred KB of the run's blocks, by how much
+    depending on what ran before."""
+    gc.collect()
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
