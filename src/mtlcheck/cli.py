@@ -35,7 +35,7 @@ from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from .engine import EngineError, input_read, run_pipeline
-from .formula import Atom, FormulaError, parse_formula, postorder, to_text
+from .formula import Atom, FormulaError, lookahead, parse_formula, postorder, to_text
 from .semantics import (
     ANCHOR_FIRST,
     ANCHOR_ZERO,
@@ -96,10 +96,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     # the rewrites add only Act markers, never atoms, so the formula's atoms
     # are all the pipeline, the oracle and the table read of the trace
     atoms = {node.name for node in postorder(formula) if isinstance(node, Atom)}
+    # the pipeline reads no element past the first timestamp plus the
+    # formula's lookahead; the oracle and the table read the whole word
+    ahead = None if args.oracle or args.table is not None else lookahead(formula)
     try:
         source = nullcontext(sys.stdin.buffer) if args.trace == "-" else open(args.trace, "rb")
         with source as fh:
-            word, _ = input_read(split_lines(fh), atoms)
+            word, _ = input_read(split_lines(fh), atoms, ahead)
     except (TraceError, OSError) as exc:
         return _fail(str(exc))
 

@@ -84,8 +84,12 @@ take in a block is not called.  A key's outputs past its reach, made from
 cut inputs, reach no reader.  A run that collects streams reads every
 key to the end, so its streams are full.  ``--stats`` reports the
 elements the walk covered as ``elements_reduced``: ``F[0,10] p`` reduces
-11 elements of a unit-spaced trace however long it is (the whole trace
-is still parsed and checked first).
+11 elements of a unit-spaced trace however long it is.  Since the deepest
+instant is at most the first timestamp plus the lookahead, whichever the
+anchor, a check parses the trace with that lookahead (``input_read``):
+the word keeps only the elements up to there, and the lines past them
+are only validated, so every error is still reported.  ``elements``
+counts the whole trace.
 
 Each key is likewise reduced only from its *floor*, the first instant any
 reader reads it at: the root's floor is the anchor, and a child's is the
@@ -233,14 +237,18 @@ def atom_records(
 
 
 def input_read(
-    lines: Iterable[Union[str, bytes]], atoms: Optional[Iterable[str]] = None
+    lines: Iterable[Union[str, bytes]],
+    atoms: Optional[Iterable[str]] = None,
+    lookahead: Optional[int] = None,
 ) -> tuple[TimedWord, int]:
     """Parse trace text in one pass; returns the word and its first
     timestamp, the instant a verdict is read at by default.  With ``atoms``
-    (the formula's atoms) the word keeps only their flag columns, which is
-    all a check reads; every line is validated either way, and a parse
-    failure raises ``TraceError`` naming the failing line."""
-    word = parse_trace_lines(lines, atoms)
+    (the formula's atoms) the word keeps only their flag columns, and with
+    ``lookahead`` (the formula's) only the elements up to the first
+    timestamp plus it, which is all a check reads (see ``run_pipeline``);
+    every line is validated either way, and a parse failure raises
+    ``TraceError`` naming the failing line."""
+    word = parse_trace_lines(lines, atoms, lookahead)
     return word, word.timestamps[0]
 
 
@@ -627,7 +635,7 @@ class ReducerStats:
 class RunStats:
     verdict: bool
     iterations: int
-    elements: int
+    elements: int  # the trace's elements, kept by the parse or not
     elements_reduced: int  # the elements the backward walk covered
     peak_win_records: int
     reducers: list[ReducerStats] = field(default_factory=list)
@@ -928,7 +936,7 @@ def run_pipeline(
     stats = RunStats(
         verdict=verdict_value,
         iterations=total_height,
-        elements=len(word),
+        elements=word.trace_length,
         elements_reduced=walked,
         peak_win_records=peak_global,
         reducers=reducer_rows,

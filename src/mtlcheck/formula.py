@@ -329,6 +329,24 @@ def fold(f: Formula, rule: Callable[[Formula, tuple], T]) -> T:
     return image[f]
 
 
+def lookahead(f: Formula) -> Optional[int]:
+    """The largest sum of closed upper bounds (steps for exact steps) on a
+    path from the root to a leaf: how far past the instant a verdict is
+    read at the formula's value can depend on the trace.  None when an
+    interval is unbounded.  Lazy translation adds no interval and
+    decomposition keeps each window's extent, so a formula's rewritten
+    plans have its lookahead."""
+
+    def rule(node: Formula, kids: tuple) -> Optional[int]:
+        interval = node_interval(node)
+        up = 0 if interval is None else closed_bounds(interval)[1]
+        if up is None or None in kids:
+            return None
+        return up + max(kids, default=0)
+
+    return fold(f, rule)
+
+
 def with_children(node: Formula, kids: tuple[Formula, ...]) -> Formula:
     """The node over new children; the node itself when they are its own."""
     if all(new is old for new, old in zip(kids, children(node))):

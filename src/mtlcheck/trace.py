@@ -15,8 +15,12 @@ holds.  Timestamps therefore range from 1 to ``TIMESTAMP_MAX`` (2**63 - 1,
 trace over 21 atoms takes about 0.42 MiB this way, where one frozenset of
 atom strings per element took about 10.5 MiB.  A parse can be asked for
 some atoms only (a check asks for its formula's), and then keeps about
-16 KB per atom besides about 90 KB of timestamps; it validates every line
-all the same.
+16 KB per atom besides about 90 KB of timestamps.  It can also be asked to
+keep only the elements up to the first timestamp plus a formula's
+lookahead, all that a check of the formula reads; past them it holds
+nothing but the last timestamp and a count, so its memory stays flat in
+the trace's length.  Every line is validated all the same, with the
+errors and line numbers of a full parse.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, Mapping, Optional, Union
 
 TIMESTAMP_MAX = (1 << 63) - 1  # the largest timestamp an 8-byte signed integer holds
+_STAMP_DIGITS = len(str(TIMESTAMP_MAX))
 
 
 class TraceError(ValueError):
@@ -56,9 +61,13 @@ class TimedWord:
     columns; ``word`` builds one from (atoms, timestamp) pairs and
     ``parse_trace_lines`` from trace text.  Callers read the timestamps
     and columns and never change them.
+
+    ``trace_length`` is the element count of the trace the word was read
+    from: its own length, or more when the parse kept only a prefix of the
+    trace (see ``parse_trace_lines``).
     """
 
-    __slots__ = ("timestamps", "_columns", "_absent")
+    __slots__ = ("timestamps", "_columns", "_absent", "trace_length")
 
     def __init__(self, timestamps: Iterable[int], columns: Mapping[str, bytearray]) -> None:
         timestamps = tuple(timestamps)
@@ -78,13 +87,18 @@ class TimedWord:
             if len(flags) != n:
                 raise TraceError(f"atom {atom!r} has {len(flags)} flags for {n} elements")
         self.timestamps, self._columns, self._absent = array("q", timestamps), dict(columns), bytes(n)
+        self.trace_length = n
 
     @classmethod
-    def _from_checked(cls, timestamps: array, columns: dict[str, bytearray]) -> "TimedWord":
+    def _from_checked(
+        cls, timestamps: array, columns: dict[str, bytearray], trace_length: int
+    ) -> "TimedWord":
         """A word over timestamps and columns its builder has checked as
-        ``__init__`` does, taken as they are, without a copy."""
+        ``__init__`` does, taken as they are, without a copy, cut from a
+        trace of ``trace_length`` elements."""
         self = cls.__new__(cls)
         self.timestamps, self._columns, self._absent = timestamps, columns, bytes(len(timestamps))
+        self.trace_length = trace_length
         return self
 
     def __len__(self) -> int:
@@ -137,8 +151,44 @@ def word(*elements: tuple[Iterable[str], int]) -> TimedWord:
     return TimedWord((t for _, t in elements), columns)
 
 
+def _element(raw: Union[str, bytes], number: int, previous: int) -> Optional[tuple[int, list[str]]]:
+    """A trace line's timestamp and tokens (the timestamp's text first), or
+    None for a blank or comment line; ``previous`` is the last timestamp
+    before it (0 before the first).  Raises ``TraceError`` naming line
+    ``number`` for every defect a line can have."""
+    try:
+        tokens = (raw if isinstance(raw, str) else raw.decode()).split()
+    except UnicodeDecodeError as exc:
+        raise TraceError(
+            f"byte 0x{raw[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
+        ) from None
+    if not tokens or tokens[0].startswith("#"):
+        return None
+    stamp = tokens[0]
+    if not (stamp.isascii() and stamp.isdigit()):
+        raise TraceError(f"timestamp {stamp!r} is not an integer", number)
+    try:
+        timestamp = int(stamp)
+    except ValueError:  # more digits than int() reads: in range only if most are leading zeros
+        digits = stamp.lstrip("0")
+        if len(digits) > _STAMP_DIGITS:
+            raise TraceError(f"timestamp of {len(digits)} digits is out of range", number) from None
+        timestamp = int(digits or "0")
+    if timestamp <= 0:
+        raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
+    if timestamp <= previous:
+        raise TraceError(
+            f"non-monotonic timestamp {timestamp} (previous was {previous})", number
+        )
+    if timestamp > TIMESTAMP_MAX:
+        raise TraceError(f"timestamp {timestamp} is out of range", number)
+    return timestamp, tokens
+
+
 def parse_trace_lines(
-    lines: Iterable[Union[str, bytes]], atoms: Optional[Iterable[str]] = None
+    lines: Iterable[Union[str, bytes]],
+    atoms: Optional[Iterable[str]] = None,
+    lookahead: Optional[int] = None,
 ) -> TimedWord:
     """Parse trace lines into a TimedWord; errors carry 1-based line numbers.
 
@@ -152,8 +202,14 @@ def parse_trace_lines(
 
     With ``atoms`` given, only those atoms get a column (and only those
     that hold somewhere), as the mapper of a MapReduce check reads only
-    the formula's propositions; every line is still decoded, split and
-    its timestamp checked, so the errors are those of a full parse.
+    the formula's propositions.  With ``lookahead`` given, the word keeps
+    only the elements up to the first timestamp plus the lookahead, the
+    prefix a check whose formula has that lookahead reads; its
+    ``trace_length`` still counts every element.  Every line is validated
+    either way, so the errors are those of a full parse: past the kept
+    prefix an ASCII line that is blank or led by an in-range, increasing
+    decimal timestamp is accepted from that field alone, and any other
+    line is checked as in the prefix.
     """
     timestamps = array("q")
     columns: dict[str, bytearray] = {}
@@ -162,37 +218,23 @@ def parse_trace_lines(
         wanted = [(atom, columns.setdefault(atom, bytearray())) for atom in set(atoms)]
     capacity = 0
     previous = 0
-    for number, raw in enumerate(lines, start=1):
-        try:
-            tokens = (raw if isinstance(raw, str) else raw.decode()).split()
-        except UnicodeDecodeError as exc:
-            raise TraceError(
-                f"byte 0x{raw[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
-            ) from None
-        if not tokens or tokens[0].startswith("#"):
+    limit = TIMESTAMP_MAX  # the last instant kept, set from the first element
+    past = 0  # the elements past the limit
+    numbered = enumerate(lines, start=1)
+    for number, raw in numbered:
+        element = _element(raw, number, previous)
+        if element is None:
             continue
-        stamp = tokens[0]
-        if not (stamp.isascii() and stamp.isdigit()):
-            raise TraceError(f"timestamp {stamp!r} is not an integer", number)
-        try:
-            timestamp = int(stamp)
-        except ValueError:  # more digits than int() reads: in range only if most are leading zeros
-            digits = stamp.lstrip("0")
-            if len(digits) > len(str(TIMESTAMP_MAX)):
-                raise TraceError(f"timestamp of {len(digits)} digits is out of range", number) from None
-            timestamp = int(digits or "0")
-        if timestamp <= 0:
-            raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
-        if timestamp <= previous:
-            raise TraceError(
-                f"non-monotonic timestamp {timestamp} (previous was {previous})", number
-            )
-        if timestamp > TIMESTAMP_MAX:
-            raise TraceError(f"timestamp {timestamp} is out of range", number)
+        timestamp, tokens = element
         previous = timestamp
+        if timestamp > limit:
+            past = 1
+            break
         index = len(timestamps)
         timestamps.append(timestamp)
-        if index == capacity:
+        if index == capacity:  # a first element too, which sets the limit
+            if not index and lookahead is not None:
+                limit = timestamp + lookahead
             zeros = bytes(capacity or 64)
             capacity += len(zeros)
             for flags in columns.values():
@@ -208,6 +250,22 @@ def parse_trace_lines(
             for atom, flags in wanted:
                 if atom in tokens:
                     flags[index] = 1
+    for number, raw in numbered:  # past the limit: validate only
+        if raw.isascii():  # then a head of digits is str.split's first field too
+            head = raw.split(None, 1)
+            if not head:
+                continue
+            stamp = head[0]
+            if stamp.isdigit() and len(stamp) <= _STAMP_DIGITS:
+                timestamp = int(stamp)
+                if previous < timestamp <= TIMESTAMP_MAX:
+                    previous = timestamp
+                    past += 1
+                    continue
+        element = _element(raw, number, previous)
+        if element is not None:
+            previous = element[0]
+            past += 1
     if not timestamps:
         raise TraceError("empty trace: checking needs at least one element")
     n = len(timestamps)
@@ -216,7 +274,7 @@ def parse_trace_lines(
         flags = columns.pop(atom)
         if 1 in flags:
             columns[atom] = flags[:n]
-    return TimedWord._from_checked(timestamps, columns)
+    return TimedWord._from_checked(timestamps, columns, n + past)
 
 
 def split_lines(stream: BinaryIO) -> Iterator[bytes]:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -433,8 +434,9 @@ class TestCheck:
             assert [row["markers"] for row in rows] == [0] * len(rows)
 
 
-def _all_atoms_read(lines, atoms=None):
-    """``input_read`` as it was before checks read only the formula's atoms."""
+def _all_atoms_read(lines, atoms=None, lookahead=None):
+    """``input_read`` as it was before checks read only the formula's atoms
+    and only the elements up to its lookahead: the whole word."""
     return engine.input_read(lines)
 
 
@@ -494,7 +496,9 @@ class TestFormulaAtomsOnly:
 
     def test_word_of_one_atom_is_a_fraction_of_the_whole(self, capsys, tmp_path, monkeypatch):
         # the timestamps are common to both words; 21 flag columns of a
-        # byte per element are not, so one atom's word is about two thirds
+        # byte per element are not, so one atom's word is about two thirds.
+        # The formula's lookahead spans the whole trace, so both words
+        # hold every element.
         path = tmp_path / "trace.txt"
         with open(path, "wb") as fh:
             generate_trace(GeneratorConfig(n=3_000, m=20, seed=1), fh)
@@ -513,12 +517,61 @@ class TestFormulaAtomsOnly:
         try:
             for read in (cli.input_read, _all_atoms_read):
                 monkeypatch.setattr(cli, "input_read", measured(read))
-                assert main(["check", str(path), "-f", "F[0,100] p"]) == 0
+                assert main(["check", str(path), "-f", "F[0,3000] p"]) == 0
         finally:
             tracemalloc.stop()
         one, every = held
         assert one <= 0.75 * every, f"one atom's word is {one / every:.2f}x the whole"
         capsys.readouterr()
+
+
+class TestKeptPrefix:
+    """A pipeline check keeps only the elements up to the first timestamp
+    plus its formula's lookahead, and validates every line past them; the
+    oracle and the table, and an unbounded lookahead, keep every element."""
+
+    @pytest.mark.parametrize("argv_tail, kept", [
+        (["-f", "F[0,10] p"], 11),
+        (["-f", "F[0,10] p", "--k", "3", "--semantics", "lazy", "--anchor", "zero"], 11),
+        (["-f", "G[0,4] (p -> F[2,5] p)", "--k", "2"], 10),
+        (["-f", "F[0,10] p", "--oracle"], 200),
+        (["-f", "F[0,10] p", "--table", "-"], 200),
+        (["-f", "F[0,inf) p"], 200),
+    ])
+    def test_words_kept(self, capsys, tmp_path, monkeypatch, argv_tail, kept):
+        path = tmp_path / "unit.txt"
+        path.write_text("".join(f"{t} p\n" for t in range(1, 201)), encoding="utf-8")
+        words_read = []
+
+        def input_read(*args):
+            result = engine.input_read(*args)
+            words_read.append(result[0])
+            return result
+
+        monkeypatch.setattr(cli, "input_read", input_read)
+        assert main(["check", str(path)] + argv_tail) == 0
+        (w,) = words_read
+        assert (len(w), w.trace_length) == (kept, 200)
+        capsys.readouterr()
+
+    def test_check_peak_does_not_grow_with_the_trace(self, capsys, tmp_path):
+        # item 5 of the roadmap at test size: the word holds 11 elements of
+        # either trace, and the lines past them are validated one at a time
+        def peak(n):
+            path = tmp_path / f"unit{n}.trace"
+            path.write_text("".join(f"{t} p q{t % 7}\n" for t in range(1, n + 1)), encoding="utf-8")
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert main(["check", str(path), "-f", "F[0,10] p"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # the first check's one-time allocations are not the trace's
+        small, large = peak(20_000), peak(200_000)
+        capsys.readouterr()
+        assert large <= 1.1 * small, (small, large)
 
 
 class TestGenerate:

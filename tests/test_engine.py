@@ -19,6 +19,7 @@ from mtlcheck.engine import (
     WindowState,
     atom_records,
     compute_offsets,
+    compute_reach,
     input_read,
     pack_record,
     record_tau,
@@ -41,9 +42,7 @@ from mtlcheck.formula import (
     Or,
     Until,
     analyze,
-    closed_bounds,
-    fold,
-    node_interval,
+    lookahead,
     node_texts,
     parse_formula,
     postorder,
@@ -70,6 +69,7 @@ from oracles import (
     naive_reduce_join,
     naive_reduce_until,
     naive_reduce_window,
+    random_formula,
     record_child,
     record_position,
     record_sanctioned,
@@ -896,19 +896,42 @@ class TestBlocks:
             assert _shown(run_pipeline(w, f, collect_streams=True, **kwargs)) == want
 
 
-def _lookahead(plan):
-    """The plan's lookahead, computed apart from the runner: the largest
-    sum of upper bounds (steps for exact steps) along a path from the root
-    to a leaf; None when an interval on the way is unbounded."""
+# 40 elements, with gaps of 1 and 4
+GAPPED_WORD = word(*(
+    ((("p",), ("q",), ("p", "q"), ("r",))[i % 4], 3 * i + i % 3 + 1) for i in range(40)
+))
 
-    def rule(node, kids):
-        interval = node_interval(node)
-        up = 0 if interval is None else closed_bounds(interval)[1]
-        if up is None or None in kids:
-            return None
-        return up + max(kids, default=0)
 
-    return fold(plan, rule)
+class TestLookahead:
+    """``formula.lookahead``, which sets the prefix of the trace a check
+    keeps, is how far past the anchor the checked plan reads: the deepest
+    instant of ``compute_reach`` less the anchor, in every mode."""
+
+    def test_lookahead_is_the_plans_deepest_instant_past_the_anchor(self):
+        rng = random.Random(22)
+        reached = []  # (deepest instant, anchor) per compute_reach call
+
+        def recorded(table, root_reach, positions):
+            result = compute_reach(table, root_reach, positions)
+            reached.append((result[2], root_reach))
+            return result
+
+        modes = [  # point, point --k, lazy first anchor --k, lazy zero anchor --k
+            {}, dict(semantics=POINT), dict(semantics=LAZY), dict(semantics=LAZY, anchor=ANCHOR_ZERO),
+        ]
+        with mock.patch.object(engine, "compute_reach", recorded):
+            for i in range(2000):
+                unbounded = i % 5 == 0
+                f = random_formula(rng, 4, 12, allow_unbounded=unbounded)
+                want = lookahead(f)
+                for kwargs in modes[:1] if unbounded else modes:
+                    if kwargs:
+                        kwargs = dict(kwargs, window_budget=rng.choice([1, 2, 3, 5]))
+                    reached.clear()
+                    run_pipeline(GAPPED_WORD, f, **kwargs)
+                    (deepest, anchor), = reached
+                    assert deepest == (engine.END if want is None else anchor + want), (
+                        to_text(f), kwargs)
 
 
 def _reach_case(data):
@@ -925,8 +948,8 @@ def _reach_case(data):
         kwargs = dict(semantics=LAZY, window_budget=k, anchor=mode)
         plan = pipeline_formula(f, k)
         anchor = 0 if mode == ANCHOR_ZERO else w.timestamps[0]
-    lookahead = _lookahead(plan)
-    return f, w, kwargs, None if lookahead is None else anchor + lookahead
+    ahead = lookahead(plan)
+    return f, w, kwargs, None if ahead is None else anchor + ahead
 
 
 def _prefix(w, n):
@@ -996,12 +1019,6 @@ def _records_in_and_demand(w, f, kwargs):
     res = run_pipeline(w, f, **kwargs)
     records_in = sum(row.records_in for row in res.stats.reducers)
     return records_in, demand(plan, w.timestamps, anchor), res.stats.elements_reduced
-
-
-# 40 elements, with gaps of 1 and 4
-GAPPED_WORD = word(*(
-    ((("p",), ("q",), ("p", "q"), ("r",))[i % 4], 3 * i + i % 3 + 1) for i in range(40)
-))
 
 
 class TestFloor:

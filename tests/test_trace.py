@@ -2,6 +2,7 @@
 
 import io
 import random
+from bisect import bisect_right
 import tracemalloc
 
 import pytest
@@ -264,6 +265,72 @@ class TestLineBoundaries:
             assert parse_trace(io.BytesIO(data)) == parse_trace_lines(data.splitlines())
         w = parse_trace(io.BytesIO(b"1 p\r2 q\n"))
         assert elements(w) == ((frozenset({"p"}), 1), (frozenset({"q"}), 2))
+
+
+# what a line past the kept prefix may start with, hold between its
+# timestamp and its atoms, and end with: ASCII separators, characters only
+# str.split reads as separators (\x1c-\x1f, \x85, \u2028), line ends that
+# splitlines cuts at, a comment mark and bytes that are not UTF-8
+_LEADS = [b"", b"", b"", b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"#", b"\xc2\x85",
+          b"\xe2\x80\xa8", b"\xff"]
+_SEPARATORS = [b" ", b" ", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\r",
+               b"\r\n", b"\xc2\x85", b"\xe2\x80\xa8", b"\xff", b"#", b""]
+_RESTS = [b"p", b"q", b"p q", b"", b"#", b"r\xff"]
+
+
+@st.composite
+def tails(draw):
+    """Lines that follow ``1 p``, ``2 q`` and ``4 p q``: stamps that rise,
+    repeat or fall, with leading zeros, of 19 to 25 digits, or missing."""
+    lines, stamp = [], 4
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        stamp += draw(st.sampled_from([1, 1, 1, 2, 5, 0, -1, -3]))
+        kind = draw(st.sampled_from(["plain", "plain", "plain", "zeros", "long", "none"]))
+        if kind == "long":
+            text = str(draw(st.integers(min_value=10**18, max_value=10**25 - 1)))
+        elif kind == "none":
+            text = ""
+        else:
+            text = "0" * (kind == "zeros") * draw(st.integers(min_value=1, max_value=25)) + str(stamp)
+        line = (draw(st.sampled_from(_LEADS)) + text.encode() + draw(st.sampled_from(_SEPARATORS))
+                + draw(st.sampled_from(_RESTS)))
+        lines.append(line + draw(st.sampled_from([b"\n", b"\r", b"\r\n"])))
+    return b"1 p\n2 q\n4 p q\n" + b"".join(lines)
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except TraceError as exc:
+        return str(exc)
+
+
+class TestKeptPrefix:
+    """A parse given a lookahead keeps the elements up to the first
+    timestamp plus it, and past them accepts exactly the lines a full
+    parse accepts, raising the same error otherwise."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(tails(), st.integers(min_value=0, max_value=6), st.sampled_from([None, {"p"}]))
+    def test_cut_parse_is_the_full_parse_cut(self, data, ahead, atoms):
+        lines = data.splitlines()
+        full = _outcome(lambda: parse_trace_lines(lines, atoms))
+        cut = _outcome(lambda: parse_trace_lines(lines, atoms, ahead))
+        if isinstance(full, str):
+            assert cut == full
+            return
+        n = bisect_right(full.timestamps, full.timestamps[0] + ahead)
+        assert list(cut.timestamps) == list(full.timestamps[:n])
+        assert cut.atoms == {a for a in full.atoms if 1 in full.column(a)[:n]}
+        assert all(cut.column(a) == full.column(a)[:n] for a in full.atoms)
+        assert cut.trace_length == full.trace_length == len(full)
+
+    def test_kept_prefix_and_count(self):
+        lines = [b"%d p" % t for t in range(1, 201)] + [b"# past the prefix", b""]
+        w = parse_trace_lines(lines, {"p"}, 10)
+        assert list(w.timestamps) == list(range(1, 12))
+        assert (len(w), w.trace_length) == (11, 200)
+        assert parse_trace_lines(lines, {"p"}).trace_length == 200
 
 
 class TestGenerator:
