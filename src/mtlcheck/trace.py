@@ -205,11 +205,9 @@ def parse_trace_lines(
     the formula's propositions.  With ``lookahead`` given, the word keeps
     only the elements up to the first timestamp plus the lookahead, the
     prefix a check whose formula has that lookahead reads; its
-    ``trace_length`` still counts every element.  Every line is validated
-    either way, so the errors are those of a full parse: past the kept
-    prefix an ASCII line that is blank or led by an in-range, increasing
-    decimal timestamp is accepted from that field alone, and any other
-    line is checked as in the prefix.
+    ``trace_length`` still counts every element.  Each line past the kept
+    prefix goes through the same per-line check as those in it and is
+    then dropped, so the errors and line numbers are those of a full parse.
     """
     timestamps = array("q")
     columns: dict[str, bytearray] = {}
@@ -251,17 +249,6 @@ def parse_trace_lines(
                 if atom in tokens:
                     flags[index] = 1
     for number, raw in numbered:  # past the limit: validate only
-        if raw.isascii():  # then a head of digits is str.split's first field too
-            head = raw.split(None, 1)
-            if not head:
-                continue
-            stamp = head[0]
-            if stamp.isdigit() and len(stamp) <= _STAMP_DIGITS:
-                timestamp = int(stamp)
-                if previous < timestamp <= TIMESTAMP_MAX:
-                    previous = timestamp
-                    past += 1
-                    continue
         element = _element(raw, number, previous)
         if element is not None:
             previous = element[0]

@@ -568,8 +568,10 @@ class TestKeptPrefix:
             finally:
                 tracemalloc.stop()
 
-        peak(2_000)  # the first check's one-time allocations are not the trace's
-        small, large = peak(20_000), peak(200_000)
+        # the first check's one-time allocations are not the trace's; past
+        # about two 16 KiB read blocks the peak no longer depends on the length
+        peak(200)
+        small, large = peak(4_000), peak(40_000)
         capsys.readouterr()
         assert large <= 1.1 * small, (small, large)
 
