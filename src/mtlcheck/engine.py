@@ -58,72 +58,70 @@ key's ``--stats`` row sums its counts and times over the blocks, and
 ``iterations`` is still the formula's height.
 
 A check reads one verdict, at the anchor instant, so each key is reduced
-only up to its *reach*, the last instant any reader reads it at: the
-root's reach is the anchor, and a child's is the largest, over its
-parents, of the parent's reach plus its upper bound (0 for a boolean key,
-the step for an exact step; an unbounded interval reaches the end).  This
-is sound because a key's value at an instant t depends only on its
-operands' values from t to t plus its upper bound: a window key buffers
-witnesses from that range, a boolean key joins its operands at t, and an
-exact step reads its operand at t plus the step.  An eventually, globally
-or until key reads its operands only at positions, so what it passes down
-is the last position in that range.  By induction from the root, a key's
-outputs up to its reach are what a run over the whole trace gives there,
-if each parent receives its operands' records up to the last instant it
-reads them at.  No element lies between the last one at or before the
-deepest instant of the formula's lookahead (the anchor plus the largest
-sum of upper bounds on a path from the root) and that instant, so a
-trace cut after that element gives the same values up to every reach
-(what a step reads past the last element is false either way; see
-below).  So the backward walk starts at that element and reads the trace
-as if it ended there (its offset horizon comes from that prefix);
-``route`` hands each parent only the records up to that last instant,
-all its operands alike, so a boolean key never misses an operand; each
-key takes only its markers up to its reach; and a key with nothing to
-take in a block is not called.  A key's outputs past its reach, made from
-cut inputs, reach no reader.  A run that collects streams reads every
-key to the end, so its streams are full.  ``--stats`` reports the
-elements the walk covered as ``elements_reduced``: ``F[0,10] p`` reduces
-11 elements of a unit-spaced trace however long it is.  Since the deepest
-instant is at most the first timestamp plus the lookahead, whichever the
-anchor, a check parses the trace with that lookahead (``input_read``):
-the word keeps only the elements up to there, and the lines past them
-are only validated, so every error is still reported.  ``elements``
-counts the whole trace.
-
-Each key is likewise reduced only from its *floor*, the first instant any
-reader reads it at: the root's floor is the anchor, and a child's is the
-smallest, over its parents, of the parent's floor plus its lower bound
-for that operand (0 for a boolean key and for until's left operand,
-which until reads from its own instant on; the step for an exact step;
-the closed lower bound for the operand of eventually and globally and
-for until's right operand), taken up to the next position under an
-eventually, globally or until parent.  A key whose floor passes its
-reach is read at no instant (one under a window that holds no position
-or no integer), so it reads nothing and sets no child's floor.  A key's
-value at an instant t reads each operand only from t plus its lower
-bound for it on, so ``route`` cuts each parent's input, which is
-descending, to the instants from there up to the last it reads, in one
-slice, and ``take`` drops the sanctioned markers below the key's floor.
-A key answers an instant only when a position record or a sanctioned
-marker arrives there, and the cut takes from an eventually, globally or
-exact-step key with a positive lower bound the operand records that made
-it answer at the positions from its floor up to its floor plus that
-bound, where its readers still read it (an until's left operand still
-arrives there).  So ``take`` plants a *position marker* at each of the
-block's positions in that range (up to the key's reach): child 0 with
-the position and sanctioned flags, which ``reduce_window`` answers as a
-position, so the output keeps its position flag.  ``--stats`` counts
-position markers in ``records_in`` but not in ``markers``.  Seeding is
-clipped as well: each offset set's walk covers only the span from the
-lowest floor to the highest reach of the keys that hold it, since no key
-takes a marker outside its own; whether a block has a gap is still
-judged over the whole block.  A run that collects streams keeps every
-floor at 0, so its streams start at the first element; its keys with a
-positive lower bound are still cut below that bound and given position
-markers there, which changes no output.  The slicing of time by both
-ends of a formula's windows is that of Basin et al., "Scalable offline
-monitoring of temporal specifications" (FMSD 2016).
+only over its read window, from its *floor* to its *reach*, the first and
+the last instant any reader reads it at.  One pass (``compute_windows``)
+visits every parent before its children.  The root's floor and reach are
+the anchor.  A key reads each operand from its floor plus its lower bound
+for that operand (0 for a boolean key and for until's left operand, which
+until reads from its own instant on; the step for an exact step; the
+closed lower bound for the operand of eventually and globally and for
+until's right operand) up to its reach plus its upper bound (0 for a
+boolean key, the step for an exact step; an unbounded interval reaches
+the end), and a child's floor and reach are the earliest and the latest
+instant its parents read it at.  An eventually, globally or until key
+reads its operands only at positions, so under it both ends move inward
+to the first and the last position in that range.  A key whose floor
+passes its reach is read at no instant (one under a window that holds no
+position or no integer), so it reads nothing and lowers no child's floor.
+This is sound because a key's value at an instant t depends only on its
+operands' values from t plus its lower bound to t plus its upper bound: a
+window key buffers witnesses from that range, a boolean key joins its
+operands at t, and an exact step reads its operand at t plus the step.  By
+induction from the root, a key's outputs from its floor up to its reach
+are what a run over the whole trace gives there, if each parent receives
+its operands' records at the instants it reads them at.  So ``route``
+cuts each parent's input, which is descending, to that window in one
+slice, all its operands alike up to the last instant, so a boolean key
+never misses an operand; ``take`` gives each key only its sanctioned
+markers from its floor up to its reach; and a key with nothing to take
+in a block is not called.  A key's outputs outside its window, made from
+cut inputs, reach no reader.  A key answers an instant only when a
+position record or a sanctioned marker arrives there, and the cut takes
+from an eventually, globally or exact-step key with a positive lower
+bound the operand records that made it answer at the positions from its
+floor up to its floor plus that bound, where its readers still read it
+(an until's left operand still arrives there).  So ``take`` plants a
+*position marker* at each of the block's positions in that range (up to
+the key's reach): child 0 with the position and sanctioned flags, which
+``reduce_window`` answers as a position, so the output keeps its position
+flag.  ``--stats`` counts position markers in ``records_in`` but not in
+``markers``.  Seeding is clipped as well: each offset set's walk covers
+only the span from the lowest floor to the highest reach of the keys that
+hold it, since no key takes a marker outside its own; whether a block has
+a gap is still judged over the whole block.  No reach or read instant
+passes the anchor plus the formula's lookahead (``formula.lookahead``,
+the largest sum of upper bounds on a path from the root, which the
+rewritten plans share; the walk reads the whole trace when an interval
+is unbounded), and no element lies between the last one at or
+before that instant and the instant itself, so a trace cut after that
+element gives the same values in every window (what a step reads past
+the last element is false either way; see below).  So the backward walk
+starts at that element and reads the trace as if it ended there (its
+offset horizon comes from that prefix); unlike the reaches, the walk's
+end is not moved to a position.  ``--stats`` reports the elements the
+walk covered as ``elements_reduced``: ``F[0,10] p`` reduces 11 elements
+of a unit-spaced trace however long it is.  Since that end is at most
+the first timestamp plus the lookahead, whichever the anchor, a check
+parses the trace with that lookahead (``input_read``): the word keeps
+only the elements up to there, and the lines past them are only
+validated, so every error is still reported.  ``elements`` counts the
+whole trace.  A run that collects streams reads every key whole, with
+every floor at 0 and every reach at the end, so its streams are full and
+start at the first element; its keys with a positive lower bound are
+still cut below that bound and given position markers there, which
+changes no output.  The slicing of time by both ends of a formula's
+windows is that of Basin et al., "Scalable offline monitoring of temporal
+specifications" (FMSD 2016).
 
 Markers go only to gaps between positions up to the last one, and no key
 emits a record past the last element: the decomposition puts every exact
@@ -170,6 +168,7 @@ from .formula import (
     Until,
     analyze,
     closed_bounds,
+    lookahead,
     node_interval,
     node_texts,
     postorder,
@@ -291,82 +290,61 @@ def compute_offsets(table: FormulaTable, horizon: int) -> list[frozenset[int]]:
 END = TIMESTAMP_MAX + 1  # a reach past every element: the whole trace is read
 
 
-def compute_reach(
-    table: FormulaTable, root_reach: int, positions: Sequence[int]
-) -> tuple[list[int], list[int], int]:
-    """Two lists indexed by key id: each key's reach, the last instant any
-    reader reads it at, and the last instant it reads its operands at, its
-    reach plus its upper bound (0 for boolean keys, the step for exact
-    steps, ``END`` for an unbounded interval; capped at ``END``); and the
-    deepest instant of the formula's lookahead, ``root_reach`` plus the
-    largest sum of upper bounds on a path from the root.  An eventually,
-    globally or until key reads its operands only at ``positions``, so the
-    last instant it reads them at is the last position up to its reach plus
-    its upper bound (-1 if there is none).  The root's reach is
-    ``root_reach``, and a child's is the latest instant any of its parents
-    reads it at.  Ids are assigned children first, so decreasing ids visit
-    every parent before its children."""
-    reach = [root_reach] * (table.size + 1)
-    reads = [root_reach] * (table.size + 1)
-    ahead = [root_reach] * (table.size + 1)  # the same sums, not cut at positions
+def compute_windows(
+    table: FormulaTable, anchor: Optional[int], positions: Sequence[int]
+) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
+    """Five lists indexed by key id, from one pass that visits every parent
+    before its children (ids are assigned children first): each key's
+    floor and reach, the first and the last instant any reader reads it at;
+    and each key's operand read window, the first instants it reads its
+    first and its last operand at and the last instant it reads them at.
+    The root's floor and reach are ``anchor``.  A key reads its operands
+    from its floor plus its lower bound (0 for boolean keys, the step for
+    exact steps, the closed lower bound of the interval otherwise; until
+    reads its left operand from its own instant on) up to its reach plus
+    its upper bound (``END`` for an unbounded interval; capped at
+    ``END``).  An eventually, globally or until key reads only at
+    ``positions``, so its last read instant is the last position up to
+    there (-1 if none), and a child's floor under it is the first position
+    from its first read instant on.  A child's floor is the earliest and
+    its reach the latest instant any parent reads it at, and no reach lies
+    below ``anchor``.  A key whose floor passes its reach (one that such a
+    parent reads where no position lies, or under an interval with no
+    integer in it) is read at no instant: it reads from ``END`` on and
+    lowers no child's floor.  With ``anchor`` None every floor is 0 and
+    every reach ``END``: a run that collects streams reads every key whole."""
+    size = table.size + 1
+    floor = [0 if anchor is None else END] * size
+    reach = [END if anchor is None else anchor] * size
+    if anchor is not None:
+        floor[table.root_id] = anchor
+    left_from, right_from, reads = [END] * size, [END] * size, [END] * size
     for node_id in range(table.size, 0, -1):
         node = table.node(node_id)
         interval = node_interval(node)
-        up = 0 if interval is None else closed_bounds(interval)[1]
+        lo, up = (0, 0) if interval is None else closed_bounds(interval)
+        at_positions = interval is not None and not isinstance(node, ExactStep)
         last = END if up is None else min(reach[node_id] + up, END)
-        further = END if up is None else min(ahead[node_id] + up, END)
-        if interval is not None and not isinstance(node, ExactStep):
+        if at_positions:
             j = bisect_right(positions, last)
             last = positions[j - 1] if j else -1
         reads[node_id] = last
-        for child in table.child_ids[node_id]:
+        live = floor[node_id] <= reach[node_id]
+        if live:
+            right = right_from[node_id] = floor[node_id] + lo
+            left = left_from[node_id] = floor[node_id] if isinstance(node, Until) else right
+        for i, child in enumerate(table.child_ids[node_id]):
             if reach[child] < last:
                 reach[child] = last
-            if ahead[child] < further:
-                ahead[child] = further
-    return reach, reads, max(ahead)
-
-
-def compute_floor(
-    table: FormulaTable, root_floor: Optional[int], reach: Sequence[int],
-    positions: Sequence[int],
-) -> tuple[list[int], list[int], list[int]]:
-    """Three lists indexed by key id, mirroring ``compute_reach``: each
-    key's floor, the first instant any reader reads it at, and the first
-    instants it reads its first and its last operand at.  Both are its
-    floor plus its lower bound (0 for boolean keys, the step for exact
-    steps, the closed lower bound of the interval otherwise), except that
-    until reads its left operand from its own instant on.  The root's floor
-    is ``root_floor``, and a child's is the earliest instant any of its
-    parents reads it at: for an eventually, globally or until parent, which
-    reads only at ``positions``, the first position from that instant on.
-    A key whose floor passes its ``reach`` (one that such a parent reads
-    where no position lies, or under an interval with no integer in it) is
-    read at no instant, so it reads nothing: it reads from ``END`` on and
-    lowers no child's floor.  With ``root_floor`` None every floor is 0: a
-    run that collects streams reads every key from the start."""
-    floor = [0 if root_floor is None else END] * (table.size + 1)
-    if root_floor is not None:
-        floor[table.root_id] = root_floor
-    left_from = [END] * (table.size + 1)
-    right_from = [END] * (table.size + 1)
-    for node_id in range(table.size, 0, -1):
-        if floor[node_id] > reach[node_id]:
-            continue
-        node = table.node(node_id)
-        interval = node_interval(node)
-        lo = 0 if interval is None else closed_bounds(interval)[0]
-        right = right_from[node_id] = floor[node_id] + lo
-        left = left_from[node_id] = floor[node_id] if isinstance(node, Until) else right
-        at_positions = interval is not None and not isinstance(node, ExactStep)
-        for i, child in enumerate(table.child_ids[node_id]):
+            if not live:
+                continue
             first = left if i == 0 else right
             if at_positions:
                 j = bisect_left(positions, first)
                 first = positions[j] if j < len(positions) else END
             if floor[child] > first:
                 floor[child] = first
-    return floor, left_from, right_from
+    return floor, reach, left_from, right_from, reads
 
 
 def shuffle_sort(records: list[int]) -> list[int]:
@@ -788,18 +766,17 @@ def run_pipeline(
         raise EngineError("formula too large for the record encoding")
     positions = word.timestamps
     anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
-    reach, reads, deepest = compute_reach(
-        table, END if collect_streams else anchor_instant, positions
+    floor, reach, left_from, right_from, reads = compute_windows(
+        table, None if collect_streams else anchor_instant, positions
     )
-    floor, left_from, right_from = compute_floor(
-        table, None if collect_streams else anchor_instant, reach, positions
-    )
-    # the walk covers the elements up to the lookahead's deepest instant
-    # (at least the first, whose block holds the anchor), and reads the
-    # trace as if it ended there.  On a prefix without gaps a shifted
-    # position is a position or lies past the last element, so only anchor
-    # instants before the first element can be gaps there.
-    walked = max(bisect_right(positions, deepest), 1)
+    # the walk covers the elements up to the anchor plus the formula's
+    # lookahead (at least the first, whose block holds the anchor), and
+    # reads the trace as if it ended there.  On a prefix without gaps a
+    # shifted position is a position or lies past the last element, so only
+    # anchor instants before the first element can be gaps there.
+    ahead = None if collect_streams else lookahead(formula)
+    end = len(positions) if ahead is None else bisect_right(positions, anchor_instant + ahead)
+    walked = max(end, 1)
     first, last = positions[0], positions[walked - 1]
     gapped = walked <= last - first
     horizon = last - anchor_instant if gapped else max(first - 1 - anchor_instant, 0)

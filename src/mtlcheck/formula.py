@@ -25,7 +25,7 @@ from __future__ import annotations
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, TypeVar, Union
+from typing import Callable, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -67,16 +67,6 @@ class Interval:
     @property
     def bounded(self) -> bool:
         return self.upper is not None
-
-    def contains(self, t: Union[int, float]) -> bool:
-        """Membership respecting endpoint closure."""
-        if t < self.lower or (t == self.lower and not self.lower_closed):
-            return False
-        if self.upper is None:
-            return True
-        if t > self.upper or (t == self.upper and not self.upper_closed):
-            return False
-        return True
 
     def __str__(self) -> str:
         if self.bounded and self.lower == self.upper:

@@ -191,9 +191,6 @@ class EvalTable:
     keys: tuple[int, ...]
     rows: dict[int, dict[int, bool]]
 
-    def value(self, f: Formula, key: int) -> bool:
-        return self.rows[self.table.id_of[f]][key]
-
     def row(self, f: Formula) -> dict[int, bool]:
         return dict(self.rows[self.table.id_of[f]])
 

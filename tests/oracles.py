@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from hypothesis import strategies as st
 
@@ -123,13 +123,14 @@ def interval_sample_points(iv: Interval, denominator: int = 2, slack: int = 2) -
     x = Fraction(iv.lower * denominator - slack * denominator, denominator)
     stop = Fraction(iv.upper * denominator + slack * denominator, denominator)
     while x <= stop:
-        if _contains_fraction(iv, x):
+        if contains(iv, x):
             points.append(x)
         x += Fraction(1, denominator)
     return points
 
 
-def _contains_fraction(iv: Interval, x: Fraction) -> bool:
+def contains(iv: Interval, x: Union[int, Fraction]) -> bool:
+    """Whether x lies in the interval, respecting endpoint closure."""
     if x < iv.lower or (x == iv.lower and not iv.lower_closed):
         return False
     if iv.upper is None:
@@ -147,18 +148,18 @@ def sum_set_contains(i: Interval, j: Interval, x: int, denominator: int = 2) -> 
     at integer coordinates).
     """
     for a in interval_sample_points(i, denominator):
-        if _contains_fraction(j, x - a):
+        if contains(j, x - a):
             return True
     return False
 
 
 def union_contains(i: Interval, j: Interval, x: int) -> bool:
-    return _contains_fraction(i, Fraction(x)) or _contains_fraction(j, Fraction(x))
+    return contains(i, Fraction(x)) or contains(j, Fraction(x))
 
 
 def intervals_overlap(i: Interval, j: Interval, denominator: int = 2) -> bool:
     for a in interval_sample_points(i, denominator):
-        if _contains_fraction(j, a):
+        if contains(j, a):
             return True
     return False
 
@@ -189,7 +190,7 @@ def naive_point(w: TimedWord, i: int, f: Formula, _memo: Optional[dict] = None) 
     elif isinstance(f, Until):
         value = False
         for j in range(i, len(w)):
-            if not f.interval.contains(timestamps[j] - timestamps[i]):
+            if not contains(f.interval, timestamps[j] - timestamps[i]):
                 continue
             if not naive_point(w, j, f.right, memo):
                 continue
@@ -198,14 +199,14 @@ def naive_point(w: TimedWord, i: int, f: Formula, _memo: Optional[dict] = None) 
                 break
     elif isinstance(f, Eventually):
         value = any(
-            f.interval.contains(timestamps[j] - timestamps[i]) and naive_point(w, j, f.child, memo)
+            contains(f.interval, timestamps[j] - timestamps[i]) and naive_point(w, j, f.child, memo)
             for j in range(i, len(w))
         )
     elif isinstance(f, Globally):
         value = all(
             naive_point(w, j, f.child, memo)
             for j in range(i, len(w))
-            if f.interval.contains(timestamps[j] - timestamps[i])
+            if contains(f.interval, timestamps[j] - timestamps[i])
         )
     elif isinstance(f, ExactStep):
         value = any(
@@ -296,7 +297,7 @@ def naive_lazy_rational(w: TimedWord, t: Fraction, f: Formula, denominator: int,
         x = t + iv.lower
         stop = t + iv.upper
         while x <= stop:
-            if _contains_fraction(iv, x - t):
+            if contains(iv, x - t):
                 yield x
             x += step
 
@@ -400,35 +401,38 @@ def map_step(
 # Demand oracle: the (key, instant) pairs a verdict reads
 # ---------------------------------------------------------------------------
 
-def demand(table: FormulaTable, positions: Sequence[int], anchor: int) -> int:
-    """How many (key, instant) pairs some reader reads, counted top-down
-    from the root at the anchor, without short circuits: a boolean key
-    reads its operands at its own instant, an exact step its operand at its
-    instant plus its step, and eventually and globally their operand at the
-    positions in their interval; an until reads its right operand there and
-    its left one at the positions from its instant up to its interval's
-    upper end.  ``table`` indexes the checked plan, whose ids put every
-    parent after its children."""
-    read_at: list[set[int]] = [set() for _ in range(table.size + 1)]
-    read_at[table.root_id].add(anchor)
+def read_at(table: FormulaTable, positions: Sequence[int], anchor: int) -> list[set[int]]:
+    """The instants some reader reads each key at, a list of sets indexed
+    by key id, found top-down from the root at the anchor, without short
+    circuits: a boolean key reads its operands at its own instant, an exact
+    step its operand at its instant plus its step, and eventually and
+    globally their operand at the positions in their interval; an until
+    reads its right operand there and its left one at the positions from
+    its instant up to its interval's upper end.  ``table`` indexes the
+    checked plan, whose ids put every parent after its children."""
+    instants: list[set[int]] = [set() for _ in range(table.size + 1)]
+    instants[table.root_id].add(anchor)
     for node_id in range(table.size, 0, -1):
         node = table.node(node_id)
         kids = table.child_ids[node_id]
-        for t in read_at[node_id]:
+        for t in instants[node_id]:
             if isinstance(node, ExactStep):
-                read_at[kids[0]].add(t + node.step)
+                instants[kids[0]].add(t + node.step)
             elif isinstance(node, (Eventually, Globally, Until)):
                 iv = node.interval
-                read_at[kids[-1]].update(
-                    p for p in positions if _contains_fraction(iv, Fraction(p - t)))
+                instants[kids[-1]].update(p for p in positions if contains(iv, p - t))
                 if isinstance(node, Until):
                     upto = Interval(0, iv.upper, True, iv.upper_closed)
-                    read_at[kids[0]].update(
-                        p for p in positions if _contains_fraction(upto, Fraction(p - t)))
+                    instants[kids[0]].update(p for p in positions if contains(upto, p - t))
             else:
                 for kid in kids:
-                    read_at[kid].add(t)
-    return sum(map(len, read_at))
+                    instants[kid].add(t)
+    return instants
+
+
+def demand(table: FormulaTable, positions: Sequence[int], anchor: int) -> int:
+    """How many (key, instant) pairs some reader reads (see ``read_at``)."""
+    return sum(map(len, read_at(table, positions, anchor)))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +513,7 @@ def _retained(buffered: list[int], iv: Interval) -> int:
         return 0
     nearest = min(buffered)
     span = Interval(0, iv.upper, True, iv.upper_closed)
-    return sum(1 for t in buffered if _contains_fraction(span, Fraction(t - nearest)))
+    return sum(1 for t in buffered if contains(span, Fraction(t - nearest)))
 
 
 def naive_reduce_window(records, child_id, iv, out_key, *, admit_any=False,
@@ -528,7 +532,7 @@ def naive_reduce_window(records, child_id, iv, out_key, *, admit_any=False,
         peak = max(peak, _retained(buffered, iv))
         emit, pos_out = _emission(group)
         if emit:
-            held = any(_contains_fraction(iv, Fraction(t - tau)) for t in buffered)
+            held = any(contains(iv, Fraction(t - tau)) for t in buffered)
             outputs.append(pack_record(tau, out_key, held != universal, pos_out, False))
     return outputs, peak
 
@@ -549,7 +553,7 @@ def naive_reduce_until(records, left_id, right_id, iv, out_key, *, key="?"):
         peak = max(peak, _retained(live, iv))
         emit, pos_out = _emission(group)
         if emit:
-            held = any(_contains_fraction(iv, Fraction(w - tau)) for w in live)
+            held = any(contains(iv, Fraction(w - tau)) for w in live)
             outputs.append(pack_record(tau, out_key, held, pos_out, False))
         failures += [tau for child, truth in at_positions if child == left_id and not truth]
     return outputs, peak

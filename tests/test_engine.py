@@ -19,7 +19,7 @@ from mtlcheck.engine import (
     WindowState,
     atom_records,
     compute_offsets,
-    compute_reach,
+    compute_windows,
     input_read,
     pack_record,
     record_tau,
@@ -70,6 +70,7 @@ from oracles import (
     naive_reduce_until,
     naive_reduce_window,
     random_formula,
+    read_at,
     record_child,
     record_position,
     record_sanctioned,
@@ -904,34 +905,30 @@ GAPPED_WORD = word(*(
 
 class TestLookahead:
     """``formula.lookahead``, which sets the prefix of the trace a check
-    keeps, is how far past the anchor the checked plan reads: the deepest
-    instant of ``compute_reach`` less the anchor, in every mode."""
+    keeps and walks, is that of the checked plan, and no key the plan
+    reads reads its operands past the anchor plus it, in every mode."""
 
-    def test_lookahead_is_the_plans_deepest_instant_past_the_anchor(self):
+    def test_lookahead_bounds_the_plans_reads(self):
         rng = random.Random(22)
-        reached = []  # (deepest instant, anchor) per compute_reach call
-
-        def recorded(table, root_reach, positions):
-            result = compute_reach(table, root_reach, positions)
-            reached.append((result[2], root_reach))
-            return result
-
         modes = [  # point, point --k, lazy first anchor --k, lazy zero anchor --k
             {}, dict(semantics=POINT), dict(semantics=LAZY), dict(semantics=LAZY, anchor=ANCHOR_ZERO),
         ]
-        with mock.patch.object(engine, "compute_reach", recorded):
-            for i in range(2000):
-                unbounded = i % 5 == 0
-                f = random_formula(rng, 4, 12, allow_unbounded=unbounded)
-                want = lookahead(f)
-                for kwargs in modes[:1] if unbounded else modes:
-                    if kwargs:
-                        kwargs = dict(kwargs, window_budget=rng.choice([1, 2, 3, 5]))
-                    reached.clear()
-                    run_pipeline(GAPPED_WORD, f, **kwargs)
-                    (deepest, anchor), = reached
-                    assert deepest == (engine.END if want is None else anchor + want), (
-                        to_text(f), kwargs)
+        positions = GAPPED_WORD.timestamps
+        for i in range(2000):
+            unbounded = i % 5 == 0
+            f = random_formula(rng, 4, 12, allow_unbounded=unbounded)
+            want = lookahead(f)
+            for kwargs in modes[:1] if unbounded else modes:
+                if kwargs:
+                    kwargs = dict(kwargs, window_budget=rng.choice([1, 2, 3, 5]))
+                table = run_pipeline(GAPPED_WORD, f, **kwargs).table
+                assert lookahead(table.root) == want, (to_text(f), kwargs)
+                anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else positions[0]
+                floor, reach, _, _, reads = compute_windows(table, anchor, positions)
+                bound = engine.END if want is None else anchor + want
+                for k in range(1, table.size + 1):
+                    if floor[k] <= reach[k]:
+                        assert reads[k] <= bound, (to_text(f), kwargs, k)
 
 
 def _reach_case(data):
@@ -1008,14 +1005,20 @@ class TestReach:
         assert records_in(20 * engine.BLOCK) == records_in(2 * engine.BLOCK)
 
 
-def _records_in_and_demand(w, f, kwargs):
-    """A run's summed ``records_in``, the demand of its plan (see
-    ``oracles.demand``), and its ``elements_reduced``."""
+def _plan(w, f, kwargs):
+    """The plan a run with these keyword arguments checks, indexed, and
+    its anchor instant."""
     if "window_budget" in kwargs:
         plan = analyze(pipeline_formula(f, kwargs["window_budget"]), operands)
     else:
         plan = analyze(f)
-    anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
+    return plan, 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
+
+
+def _records_in_and_demand(w, f, kwargs):
+    """A run's summed ``records_in``, the demand of its plan (see
+    ``oracles.demand``), and its ``elements_reduced``."""
+    plan, anchor = _plan(w, f, kwargs)
     res = run_pipeline(w, f, **kwargs)
     records_in = sum(row.records_in for row in res.stats.reducers)
     return records_in, demand(plan, w.timestamps, anchor), res.stats.elements_reduced
@@ -1033,6 +1036,17 @@ class TestFloor:
         f, w, kwargs, _ = _reach_case(data)
         records_in, wanted, walked = _records_in_and_demand(w, f, kwargs)
         assert records_in <= 3 * wanted + walked, (records_in, wanted, walked)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_read_instant_lies_in_its_keys_window(self, data):
+        # the converse does not hold: a key may be live and read nowhere
+        f, w, kwargs, _ = _reach_case(data)
+        plan, anchor = _plan(w, f, kwargs)
+        floor, reach, _, _, _ = compute_windows(plan, anchor, w.timestamps)
+        for k, instants in enumerate(read_at(plan, w.timestamps, anchor)):
+            assert all(floor[k] <= t <= reach[k] for t in instants), (
+                k, sorted(instants), floor[k], reach[k])
 
     @pytest.mark.parametrize("text", ["F[0,100] r", "p U[0,100] q"])
     @pytest.mark.parametrize("anchor", [ANCHOR_FIRST, ANCHOR_ZERO])

@@ -14,7 +14,7 @@ from mtlcheck.formula import (
     singleton,
     without_zero,
 )
-from oracles import intervals, sum_set_contains, union_contains
+from oracles import contains, intervals, sum_set_contains, union_contains
 
 
 class TestConstruction:
@@ -37,11 +37,11 @@ class TestConstruction:
 
     def test_contains_respects_brackets(self):
         iv = Interval(2, 5, False, True)
-        assert not iv.contains(2)
-        assert iv.contains(3)
-        assert iv.contains(5)
-        assert not iv.contains(6)
-        assert FULL.contains(0) and FULL.contains(10**9)
+        assert not contains(iv, 2)
+        assert contains(iv, 3)
+        assert contains(iv, 5)
+        assert not contains(iv, 6)
+        assert contains(FULL, 0) and contains(FULL, 10**9)
 
     def test_integer_members(self):
         # the reducers read an interval as the closed bounds of its integers
@@ -78,7 +78,7 @@ class TestElementwiseSum:
     @given(intervals(max_bound=20), intervals(max_bound=20), st.integers(min_value=-2, max_value=45))
     def test_membership_matches_pointwise_sums(self, i, j, x):
         got = minkowski_sum(i, j)
-        assert got.contains(x) == sum_set_contains(i, j, x)
+        assert contains(got, x) == sum_set_contains(i, j, x)
 
 
 class TestOverlapUnion:
@@ -115,7 +115,7 @@ class TestOverlapUnion:
                 overlap_union(i, j)
         else:
             got = overlap_union(i, j)
-            assert got.contains(x) == union_contains(i, j, x)
+            assert contains(got, x) == union_contains(i, j, x)
 
 
 class TestWithoutZero:

@@ -162,7 +162,7 @@ class TestEvalTable:
         phi = parse_formula("F[3,7] p | !q")
         table = eval_table(EXAMPLE_WORD, phi, POINT)
         for i in range(len(EXAMPLE_WORD)):
-            assert table.value(phi, i) == eval_point(EXAMPLE_WORD, i, phi)
+            assert table.row(phi)[i] == eval_point(EXAMPLE_WORD, i, phi)
 
 
 class TestVerdict:
