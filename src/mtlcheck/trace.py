@@ -21,6 +21,11 @@ lookahead, all that a check of the formula reads; past them it holds
 nothing but the last timestamp and a count, so its memory stays flat in
 the trace's length.  Every line is validated all the same, with the
 errors and line numbers of a full parse.
+
+Lines are read on their bytes: an ASCII line is split as bytes, and only
+a line that is not ASCII is decoded, split as text and its tokens encoded
+back, so every line splits as ``str.split`` splits its text.  Past the
+kept prefix a line is split only as far as its timestamp.
 """
 
 from __future__ import annotations
@@ -151,38 +156,30 @@ def word(*elements: tuple[Iterable[str], int]) -> TimedWord:
     return TimedWord((t for _, t in elements), columns)
 
 
-def _element(raw: Union[str, bytes], number: int, previous: int) -> Optional[tuple[int, list[str]]]:
-    """A trace line's timestamp and tokens (the timestamp's text first), or
-    None for a blank or comment line; ``previous`` is the last timestamp
-    before it (0 before the first).  Raises ``TraceError`` naming line
-    ``number`` for every defect a line can have."""
-    try:
-        tokens = (raw if isinstance(raw, str) else raw.decode()).split()
-    except UnicodeDecodeError as exc:
-        raise TraceError(
-            f"byte 0x{raw[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
-        ) from None
-    if not tokens or tokens[0].startswith("#"):
-        return None
-    stamp = tokens[0]
-    if not (stamp.isascii() and stamp.isdigit()):
-        raise TraceError(f"timestamp {stamp!r} is not an integer", number)
+def _stamp_error(stamp: bytes, number: int, previous: int) -> TraceError:
+    """The error of line ``number``, whose first token ``stamp`` (UTF-8,
+    lone surrogates passed through) is not a timestamp after ``previous``,
+    the last one before it (0 before the first)."""
+    if not stamp.isdigit():
+        text = stamp.decode(errors="surrogatepass")
+        return TraceError(f"timestamp {text!r} is not an integer", number)
     try:
         timestamp = int(stamp)
     except ValueError:  # more digits than int() reads: in range only if most are leading zeros
-        digits = stamp.lstrip("0")
+        digits = stamp.lstrip(b"0")
         if len(digits) > _STAMP_DIGITS:
-            raise TraceError(f"timestamp of {len(digits)} digits is out of range", number) from None
-        timestamp = int(digits or "0")
+            return TraceError(f"timestamp of {len(digits)} digits is out of range", number)
+        timestamp = int(digits or b"0")
     if timestamp <= 0:
-        raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
+        return TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
     if timestamp <= previous:
-        raise TraceError(
-            f"non-monotonic timestamp {timestamp} (previous was {previous})", number
-        )
-    if timestamp > TIMESTAMP_MAX:
-        raise TraceError(f"timestamp {timestamp} is out of range", number)
-    return timestamp, tokens
+        return TraceError(f"non-monotonic timestamp {timestamp} (previous was {previous})", number)
+    return TraceError(f"timestamp {timestamp} is out of range", number)
+
+
+# \x1c-\x1f separate tokens for str.split but not for bytes.split; as
+# spaces, an ASCII line's bytes split exactly as its text does
+_SEPARATORS = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")
 
 
 def parse_trace_lines(
@@ -192,42 +189,65 @@ def parse_trace_lines(
 ) -> TimedWord:
     """Parse trace lines into a TimedWord; errors carry 1-based line numbers.
 
-    The columns are built in the same pass: each line appends a timestamp
-    and sets its atoms' flags, so nothing of a line but those outlives it.
-    Flag columns grow by doubling a shared capacity and are replaced by
-    exact-size copies at the end, one at a time, since cutting a
-    ``bytearray`` in place keeps its capacity.  The lines' checks are
-    those of ``TimedWord``, so the word is built without a second pass
-    over it.
+    One loop reads each line once, on its bytes: an ASCII ``bytes`` line
+    is split as it is, and any other line is decoded (a ``str`` line is
+    taken as it is), split as text and its tokens encoded back to UTF-8,
+    so both split exactly as ``str.split`` does.  A line whose first token
+    is not a timestamp after the last one is a comment when that token
+    starts with ``#``, and an error otherwise; ``_stamp_error`` names the
+    error only then.  The columns are built in the same pass: each line
+    appends a timestamp and sets its atoms' flags, so nothing of a line
+    but those outlives it.  Flag columns grow by doubling a shared
+    capacity and are replaced by exact-size copies at the end, one at a
+    time, since cutting a ``bytearray`` in place keeps its capacity.  The
+    lines' checks are those of ``TimedWord``, so the word is built without
+    a second pass over it.
 
     With ``atoms`` given, only those atoms get a column (and only those
     that hold somewhere), as the mapper of a MapReduce check reads only
     the formula's propositions.  With ``lookahead`` given, the word keeps
     only the elements up to the first timestamp plus the lookahead, the
     prefix a check whose formula has that lookahead reads; its
-    ``trace_length`` still counts every element.  Each line past the kept
-    prefix goes through the same per-line check as those in it and is
-    then dropped, so the errors and line numbers are those of a full parse.
+    ``trace_length`` still counts every element.  Past the kept prefix a
+    line is split only as far as its timestamp, which gets the same check,
+    so the errors and line numbers are those of a full parse.
     """
     timestamps = array("q")
-    columns: dict[str, bytearray] = {}
-    wanted = None  # (atom, column) per atom to read, or None to read every atom
+    columns: dict[bytes, bytearray] = {}  # by UTF-8 name, lone surrogates passed through
+    wanted = None  # the (name, column) pairs of the atoms to read, or None to read every atom
     if atoms is not None:
-        wanted = [(atom, columns.setdefault(atom, bytearray())) for atom in set(atoms)]
+        columns = {atom.encode(errors="surrogatepass"): bytearray() for atom in atoms}
+        wanted = columns.items()  # a view: the columns popped below are freed
     capacity = 0
     previous = 0
     limit = TIMESTAMP_MAX  # the last instant kept, set from the first element
+    split = -1  # the lines' maxsplit: every token, or past the limit only the timestamp
     past = 0  # the elements past the limit
-    numbered = enumerate(lines, start=1)
-    for number, raw in numbered:
-        element = _element(raw, number, previous)
-        if element is None:
-            continue
-        timestamp, tokens = element
+    for number, raw in enumerate(lines, start=1):
+        if isinstance(raw, bytes) and raw.isascii():
+            tokens = raw.translate(_SEPARATORS).split(None, split)
+        else:
+            try:
+                text = raw if isinstance(raw, str) else raw.decode()
+            except UnicodeDecodeError as exc:
+                raise TraceError(
+                    f"byte 0x{raw[exc.start]:02x} at column {exc.start + 1} is not UTF-8 text", number
+                ) from None
+            tokens = [token.encode(errors="surrogatepass") for token in text.split(None, split)]
+        stamp = tokens[0] if tokens else b"#"  # a blank line reads as a comment
+        try:
+            timestamp = int(stamp) if stamp.isdigit() else 0
+        except ValueError:  # more digits than int() reads: in range only if most are leading zeros
+            timestamp = int(stamp.lstrip(b"0")[: _STAMP_DIGITS + 1] or b"0")
+        if not previous < timestamp <= TIMESTAMP_MAX:
+            if stamp.startswith(b"#"):
+                continue
+            raise _stamp_error(stamp, number, previous)
         previous = timestamp
         if timestamp > limit:
-            past = 1
-            break
+            split = 1
+            past += 1
+            continue
         index = len(timestamps)
         timestamps.append(timestamp)
         if index == capacity:  # a first element too, which sets the limit
@@ -248,20 +268,14 @@ def parse_trace_lines(
             for atom, flags in wanted:
                 if atom in tokens:
                     flags[index] = 1
-    for number, raw in numbered:  # past the limit: validate only
-        element = _element(raw, number, previous)
-        if element is not None:
-            previous = element[0]
-            past += 1
     if not timestamps:
         raise TraceError("empty trace: checking needs at least one element")
-    n = len(timestamps)
-    wanted = None  # its references would keep the grown columns alive
+    named: dict[str, bytearray] = {}
     for atom in list(columns):  # one at a time, each grown column freed once copied
         flags = columns.pop(atom)
         if 1 in flags:
-            columns[atom] = flags[:n]
-    return TimedWord._from_checked(timestamps, columns, n + past)
+            named[atom.decode(errors="surrogatepass")] = flags[: len(timestamps)]
+    return TimedWord._from_checked(timestamps, named, len(timestamps) + past)
 
 
 def split_lines(stream: BinaryIO) -> Iterator[bytes]:

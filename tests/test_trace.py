@@ -112,21 +112,39 @@ def _parsed(parse, lines):
     return result if isinstance(result, tuple) else elements(result)
 
 
+# Separators str.split reads in a trace line: ASCII whitespace, \x1c-\x1f
+# (which bytes.split keeps inside a token), and non-ASCII ones, whose UTF-8
+# bytes bytes.split keeps inside a token too.
+SEPARATORS = [" ", "\t", "  ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+              "\u2028", "\u3000"]
+
 # One trace line: a comment, a blank, or a timestamp with atoms drawn from
 # a small pool, so atoms repeat on a line and are missing from others.
 TRACE_LINES = st.lists(
     st.one_of(
         st.just("# comment"),
-        st.sampled_from(["", " ", "\t"]),
+        st.sampled_from(["", " ", "\t", "\x1c", "\u3000"]),
         st.tuples(
             st.one_of(st.integers(min_value=0, max_value=40).map(str),
-                      st.sampled_from(["x", "+3", "1_0"])),
-            st.lists(st.sampled_from(["p", "q", "r", "p2"]), max_size=5),
-            st.sampled_from([" ", "\t", "  "]),
+                      st.sampled_from(["x", "+3", "1_0", "\u0663"])),
+            st.lists(st.sampled_from(["p", "q", "r", "p2", "\xe9"]), max_size=5),
+            st.sampled_from(SEPARATORS),
         ).map(lambda t: t[2].join([t[0], *t[1]])),
     ),
     max_size=12,
 )
+
+
+def _ascending(lines):
+    """The lines with each leading timestamp raised above the last, so
+    that most traces are valid."""
+    stamp = 0
+    for n, line in enumerate(lines):
+        head = line.split(None, 1)[:1]
+        if head and head[0].isascii() and head[0].isdigit():
+            stamp += int(head[0]) % 3 + 1
+            lines[n] = str(stamp) + line[len(head[0]):]
+    return lines
 
 
 def _projected(parsed, atoms):
@@ -140,15 +158,10 @@ def _projected(parsed, atoms):
 class TestColumns:
     @settings(max_examples=300, deadline=None)
     @given(TRACE_LINES, st.lists(st.sampled_from(["\n", "\r\n"]), min_size=1),
-           st.booleans(), st.frozensets(st.sampled_from(["p", "q", "r", "p2", "s"])))
+           st.booleans(), st.frozensets(st.sampled_from(["p", "q", "r", "p2", "s", "\xe9"])))
     def test_parse_agrees_with_a_per_element_parser(self, lines, endings, ascending, atoms):
-        if ascending:  # mostly valid traces: timestamps made increasing
-            stamp = 0
-            for n, line in enumerate(lines):
-                head, _, rest = line.partition(" ")
-                if head.isdigit():
-                    stamp += int(head) % 3 + 1
-                    lines[n] = f"{stamp} {rest}"
+        if ascending:  # mostly valid traces
+            lines = _ascending(lines)
         data = "".join(
             line + endings[n % len(endings)] for n, line in enumerate(lines)
         ).encode()
@@ -159,6 +172,25 @@ class TestColumns:
             # reading only some atoms validates every line all the same
             filtered = _parsed(lambda lines: parse_trace_lines(lines, atoms), split)
             assert filtered == _projected(want, atoms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(TRACE_LINES, st.sampled_from([None, {"\xe9"}]))
+    def test_bytes_and_text_lines_read_the_same(self, lines, atoms):
+        lines = _ascending(lines)
+        text = _outcome(lambda: parse_trace_lines(lines, atoms))
+        raw = _outcome(lambda: parse_trace_lines([line.encode() for line in lines], atoms))
+        assert raw == text
+        if not isinstance(text, str):
+            assert raw.atoms == text.atoms
+
+    def test_a_lone_surrogate_reads_under_its_own_name(self):
+        lines = ["1 p \ud800", "2 \ud800"]
+        w = parse_trace_lines(lines)
+        assert w.atoms == {"p", "\ud800"}
+        assert list(w.column("\ud800")) == [1, 1]
+        assert list(parse_trace_lines(lines, {"\ud800"}).column("\ud800")) == [1, 1]
+        with pytest.raises(TraceError, match=r"^line 2: timestamp '\\ud800' is not an integer$"):
+            parse_trace_lines(["1 p", "\ud800 p"])
 
     def test_repeated_and_missing_atoms(self):
         w = parse_trace_lines(["5 p p", "6 q", "7"])
@@ -331,6 +363,35 @@ class TestKeptPrefix:
         assert list(w.timestamps) == list(range(1, 12))
         assert (len(w), w.trace_length) == (11, 200)
         assert parse_trace_lines(lines, {"p"}).trace_length == 200
+
+
+class TestStampErrors:
+    """Each timestamp error reads the same, at the same line, inside the
+    kept prefix (no lookahead, or 5) and past it (lookahead 0)."""
+
+    @pytest.mark.parametrize("line, message", [
+        (b"x p", "timestamp 'x' is not an integer"),
+        ("\u0663 p".encode(), "timestamp '\u0663' is not an integer"),
+        (b"1" * 5000 + b" p", "timestamp of 5000 digits is out of range"),
+        (b"0 p", "timestamps must be strictly positive, got 0"),
+        (b"2 p", "non-monotonic timestamp 2 (previous was 2)"),
+        (b"0" * 5000 + b"2 p", "non-monotonic timestamp 2 (previous was 2)"),
+        (b"9223372036854775808 p", "timestamp 9223372036854775808 is out of range"),
+    ])
+    @pytest.mark.parametrize("ahead", [None, 5, 0])
+    @pytest.mark.parametrize("atoms", [None, {"p"}])
+    def test_same_error_on_both_sides_of_the_limit(self, line, message, ahead, atoms):
+        lines = [b"1 p", b"2 q", line, b"9 p"]
+        for form in (lines, [raw.decode() for raw in lines]):
+            with pytest.raises(TraceError) as exc:
+                parse_trace_lines(form, atoms, ahead)
+            assert str(exc.value) == f"line 3: {message}"
+
+    @pytest.mark.parametrize("ahead", [None, 5, 0])
+    def test_leading_zeros_past_the_digit_limit_read_as_the_value(self, ahead):
+        w = parse_trace_lines([b"1 p", b"2 q", b"0" * 5000 + b"3 p"], {"p"}, ahead)
+        assert w.trace_length == 3
+        assert list(w.timestamps) == [1, 2, 3][: 1 if ahead == 0 else 3]
 
 
 class TestGenerator:
