@@ -26,6 +26,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -264,7 +265,11 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared by every
+    later one, so a process that runs many commands builds it once.  Its
+    defaults are immutable, so no call can change what the next one reads."""
     parser = _Parser(
         prog="mtlcheck",
         description="Check metric temporal logic formulas over timed traces.",
@@ -329,11 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("-m", type=int, default=20, help="alphabet size (default 20)")
     p_bench.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     p_bench.add_argument(
-        "--n", type=_int_list, default=[10000, 50000], metavar="N[,N...]",
+        "--n", type=_int_list, default=(10000, 50000), metavar="N[,N...]",
         help="window sizes to benchmark (default 10000,50000)",
     )
     p_bench.add_argument(
-        "--k", type=_int_list, default=[1000, 5000], metavar="K[,K...]",
+        "--k", type=_int_list, default=(1000, 5000), metavar="K[,K...]",
         help="window budgets; an undecomposed run is always included "
              "(default 1000,5000)",
     )
@@ -357,7 +362,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return status
     except BrokenPipeError:  # the reader is gone: flush what is left to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return _fail("standard output was closed before the output was written")
     except MemoryError:  # a resource ran out; the input is not at fault
         return _fail("out of memory")

@@ -96,7 +96,13 @@ def naive_parse(lines: Iterable) -> tuple[tuple[frozenset[str], int], ...]:
         tokens = line.split()
         if not (tokens[0].isascii() and tokens[0].isdigit()):
             raise TraceError(f"timestamp {tokens[0]!r} is not an integer", number)
-        timestamp = int(tokens[0])
+        try:
+            timestamp = int(tokens[0])
+        except ValueError:  # more digits than int() reads: in range only if most are leading zeros
+            digits = tokens[0].lstrip("0")
+            if len(digits) > len(str(TIMESTAMP_MAX)):
+                raise TraceError(f"timestamp of {len(digits)} digits is out of range", number) from None
+            timestamp = int(digits or "0")
         if timestamp <= 0:
             raise TraceError(f"timestamps must be strictly positive, got {timestamp}", number)
         if previous is not None and timestamp <= previous:

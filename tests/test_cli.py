@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import types
@@ -400,6 +401,24 @@ class TestCheck:
             "error: standard output was closed before the output was written"
         ]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_closed_stdout_in_process_leaves_no_descriptor_open(self, trace_file):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return target.fileno()
+
+        with tempfile.TemporaryFile() as target:
+            before = len(os.listdir("/proc/self/fd"))
+            err = io.StringIO()
+            with mock.patch("sys.stdout", ClosedPipe()), contextlib.redirect_stderr(err):
+                status = main(["check", trace_file, "-f", "p"])
+            assert len(os.listdir("/proc/self/fd")) == before
+        assert status == 2
+        assert err.getvalue() == "error: standard output was closed before the output was written\n"
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
     def test_out_of_memory_is_one_plain_error(self, tmp_path):
         # the table of this plan holds hundreds of MiB; the child may map
@@ -574,6 +593,50 @@ class TestKeptPrefix:
         small, large = peak(4_000), peak(40_000)
         capsys.readouterr()
         assert large <= 1.1 * small, (small, large)
+
+
+class TestOneParser:
+    """``main`` builds its parser once per process; the calls that share it
+    read nothing of each other and leave no cyclic garbage behind."""
+
+    def test_many_calls_share_one_parser(self, tmp_path, trace_file):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 p\n1 q\n", encoding="utf-8")
+        plain = (["check", trace_file, "-f", "G[0,4] (p -> F[1,2] p)"], 1, "VERDICT: false\n", "")
+        runs = [
+            (["check"], 2, "",
+             "error: the following arguments are required: trace, -f/--formula\n"),
+            plain,
+            (["check", trace_file, "-f", "F[4,6] p", "--k", "2"], 0, "VERDICT: true\n", ""),
+            (["check", trace_file, "-f", "p U[0,3] !p", "--oracle"], 0, "VERDICT: true\n", ""),
+            (["check", trace_file, "-f", "F[1,2] p", "--table", "-"], 0,
+             "formula\t0\t1\t2\t3\t4\t5\t6\n"
+             "p\t⊤\t⊤\t⊥\t⊤\t⊤\t⊥\t⊥\n"
+             "F[1,2] p\t⊤\t⊥\t⊤\t⊤\t⊥\t⊥\t⊥\n"
+             "VERDICT: true\n", ""),
+            (["check", str(bad), "-f", "p"], 2, "",
+             "error: line 2: non-monotonic timestamp 1 (previous was 1)\n"),
+            plain,
+        ]
+
+        def call(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv)
+            return status, out.getvalue(), err.getvalue()
+
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            call(plain[0])
+            gc.collect()
+            for argv, status, out, err in runs:
+                assert call(argv) == (status, out, err)
+                assert gc.collect() == 0
+        finally:
+            if collecting:
+                gc.enable()
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestGenerate:

@@ -126,7 +126,7 @@ TRACE_LINES = st.lists(
         st.sampled_from(["", " ", "\t", "\x1c", "\u3000"]),
         st.tuples(
             st.one_of(st.integers(min_value=0, max_value=40).map(str),
-                      st.sampled_from(["x", "+3", "1_0", "\u0663"])),
+                      st.sampled_from(["x", "+3", "1_0", "\u0663", "0" * 4999 + "7", "1" * 5000])),
             st.lists(st.sampled_from(["p", "q", "r", "p2", "\xe9"]), max_size=5),
             st.sampled_from(SEPARATORS),
         ).map(lambda t: t[2].join([t[0], *t[1]])),
@@ -142,7 +142,7 @@ def _ascending(lines):
     for n, line in enumerate(lines):
         head = line.split(None, 1)[:1]
         if head and head[0].isascii() and head[0].isdigit():
-            stamp += int(head[0]) % 3 + 1
+            stamp += int(head[0][-2:]) % 3 + 1  # its last digits: a stamp may pass int()'s limit
             lines[n] = str(stamp) + line[len(head[0]):]
     return lines
 
