@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .engine import EngineError, input_read, run_pipeline
 from .formula import Atom, FormulaError, lookahead, parse_formula, postorder, to_text
@@ -146,9 +146,34 @@ def cmd_check(args: argparse.Namespace) -> int:
                 return _fail(str(exc))
 
     if args.stats and stats is not None:
-        print(json.dumps(stats.to_json_dict(), indent=2))
+        sys.stdout.writelines(_json_pieces(stats.to_json_dict()))
+        sys.stdout.write("\n")
     print(f"VERDICT: {'true' if verdict_value else 'false'}")
     return 0 if verdict_value else 1
+
+
+def _json_pieces(value, indent: str = "") -> Iterator[str]:
+    """``json.dumps(value, indent=2)`` for dicts, lists and scalars, in
+    pieces, so no string holds the whole text.  Each key and scalar is
+    encoded alone, by the C encoder: ``indent`` would select the standard
+    library's pure-Python encoder, whose nested closures every call leaves
+    as cyclic garbage."""
+    if not value or not isinstance(value, (dict, list)):
+        yield json.dumps(value)
+        return
+    inner = indent + "  "
+    is_dict = isinstance(value, dict)
+    yield "{" if is_dict else "["
+    sep = "\n"
+    for item in value.items() if is_dict else value:
+        if is_dict:
+            yield f"{sep}{inner}{json.dumps(item[0])}: "
+            item = item[1]
+        else:
+            yield sep + inner
+        yield from _json_pieces(item, inner)
+        sep = ",\n"
+    yield f"\n{indent}{'}' if is_dict else ']'}"
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
@@ -365,6 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         try:
             os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # an in-process stream with no descriptor
+            pass
         finally:
             os.close(devnull)
         return _fail("standard output was closed before the output was written")

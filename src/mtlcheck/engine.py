@@ -82,10 +82,17 @@ are what a run over the whole trace gives there, if each parent receives
 its operands' records at the instants it reads them at.  So ``route``
 cuts each parent's input, which is descending, to that window in one
 slice, all its operands alike up to the last instant, so a boolean key
-never misses an operand; ``take`` gives each key only its sanctioned
+never misses an operand; the read step builds each atom's records only
+for the elements from its floor up to its reach, so a block past every
+atom's reach builds none; ``take`` gives each key only its sanctioned
 markers from its floor up to its reach; and a key with nothing to take
-in a block is not called.  A key's outputs outside its window, made from
-cut inputs, reach no reader.  A key answers an instant only when a
+in a block is not called.  A window key still reads its operands past its
+reach, up to its reach plus its upper bound, but ``reduce_window``
+answers no instant past the reach, where no reader would read it; it
+buffers, evicts and cuts there as before, so its outputs and its peak up
+to the reach are unchanged.  A boolean key gets no input or marker past
+its reach, and no key gets any below its floor, so every output lies in
+its key's window.  A key answers an instant only when a
 position record or a sanctioned marker arrives there, and the cut takes
 from an eventually, globally or exact-step key with a positive lower
 bound the operand records that made it answer at the positions from its
@@ -215,22 +222,37 @@ def record_truth(r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def atom_records(
-    word: TimedWord, table: FormulaTable, start: int = 0, stop: Optional[int] = None
+    word: TimedWord,
+    table: FormulaTable,
+    start: int = 0,
+    stop: Optional[int] = None,
+    windows: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> dict[int, list[int]]:
     """The read step: one position record per trace element and atom key,
-    for the elements ``start:stop`` (all of them by default), ascending."""
-    stamps = word.timestamps[start:stop]
+    for the elements ``start:stop`` (all of them by default), ascending.
+    With ``windows``, the keys' floors and reaches (see
+    ``compute_windows``), an atom gets records only for the elements from
+    its floor up to its reach, and an atom with none there is left out."""
+    positions = word.timestamps
+    if stop is None:
+        stop = len(positions)
     per_atom: dict[int, list[int]] = {}
     for node in table.nodes:
         if isinstance(node, Atom):
             aid = table.id_of[node]
+            i, j = start, stop
+            if windows is not None:
+                i = bisect_left(positions, windows[0][aid], start, stop)
+                j = bisect_right(positions, windows[1][aid], i, stop)
+                if i == j:
+                    continue
             by_flag = (  # indexed by the atom's flag byte at an element
                 pack_record(0, aid, False, True, False),
                 pack_record(0, aid, True, True, False),
             )
             per_atom[aid] = [
                 (tau << TAU_SHIFT) | by_flag[flag]
-                for tau, flag in zip(stamps, word.column(node.name)[start:stop])
+                for tau, flag in zip(positions[i:j], word.column(node.name)[i:j])
             ]
     return per_atom
 
@@ -396,6 +418,7 @@ def reduce_window(
     cut_id: Optional[int] = None,
     key: object = "?",
     state: Optional[WindowState] = None,
+    reach: int = END,
 ) -> tuple[list[int], int]:
     """Sliding-window reducer for eventually / globally / exact-step / until
     keys.
@@ -431,6 +454,14 @@ def reduce_window(
     instants first, with the same outputs as in one call; the peak
     returned is then the largest over every block so far.  An instant's
     records must all be in one block.
+
+    ``reach`` is the last instant the key is read at (see
+    ``compute_windows``).  No instant past it is answered, but every one
+    still pushes its witnesses or violations, evicts, counts toward the
+    peak and applies its until cut, since the instants up to the reach
+    read the buffer those leave; an instant that only cuts is processed
+    too.  So the outputs are those without a reach, up to it, and the peak
+    is the same.
 
     Boolean keys keep their own loop in ``reduce_join``: folding the join
     in as well (operand values per instant instead of a buffer) measured
@@ -505,8 +536,8 @@ def reduce_window(
             del win[:head]
             end -= head
             head = 0
-        if emit:
-            # the head is the latest entry in reach, so the window holds an
+        if emit and tau <= reach:
+            # the head is the latest entry in range, so the window holds an
             # entry iff the head clears the lower edge
             val = (head_val - tau >= lo) != universal if head < end else universal
             outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
@@ -650,13 +681,19 @@ class PipelineResult:
 
 
 def reduce_node(
-    table: FormulaTable, node_id: int, records: list[int], states: defaultdict[int, WindowState]
+    table: FormulaTable,
+    node_id: int,
+    records: list[int],
+    states: defaultdict[int, WindowState],
+    reach: int = END,
 ) -> tuple[list[int], int]:
     """Reduce one block of a key's records, sorted by ``shuffle_sort``, with
     the reducer of the key's node kind, for a key that is not an atom; it
     returns the block's outputs and the key's peak buffer so far.  Blocks
     come later ones first, and a window key's buffer is carried between
-    them in ``states``, which makes it at the key's first block.  The
+    them in ``states``, which makes it at the key's first block.  A window
+    key answers no instant past ``reach``, the last instant it is read at;
+    a boolean key's inputs and markers are already cut there.  The
     reducers are looked up by name at each call, so a wrapper put on the
     module sees them."""
     node = table.node(node_id)
@@ -669,6 +706,7 @@ def reduce_node(
         records, kids[-1], node_interval(node), node_id,
         admit_any=isinstance(node, ExactStep), universal=isinstance(node, Globally),
         cut_id=kids[0] if isinstance(node, Until) else None, key=node, state=states[node_id],
+        reach=reach,
     )
 
 
@@ -822,8 +860,9 @@ def run_pipeline(
             inboxes.setdefault(parent_id, []).extend(part)
 
     def read(start: int, stop: int) -> None:
-        """Route the atom records of the elements ``start:stop``."""
-        per_atom = atom_records(word, table, start, stop)
+        """Route the atom records of the elements ``start:stop``, each
+        atom's only from its floor up to its reach."""
+        per_atom = atom_records(word, table, start, stop, (floor, reach))
         while per_atom:
             atom_id, records = per_atom.popitem()
             records.reverse()  # descending, as every key's outputs are
@@ -866,7 +905,7 @@ def run_pipeline(
         row.records_in += len(records)
         row.markers += markers
         began = time.perf_counter()
-        outputs, peak = reduce_node(table, kid, shuffle_sort(records), states)
+        outputs, peak = reduce_node(table, kid, shuffle_sort(records), states, reach[kid])
         row.iteration_ms += (time.perf_counter() - began) * 1000.0
         del records  # the consumed inbox, dropped before the outputs are routed
         row.peak_win = max(row.peak_win, peak)

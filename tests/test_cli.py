@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -194,6 +195,23 @@ class TestCheck:
         assert [row["reducer_key"] for row in payload["reducers"]] == [
             "F[3,4] p", "F[0,3] p", "F=4 (F[0,3] p)", "F[3,4] p | F=4 (F[0,3] p)",
         ]
+
+    @pytest.mark.parametrize("argv_tail", [
+        ["-f", "p"],  # no reducer rows
+        ["-f", "F[1,2] p"],
+        ["-f", "G[0,4] (p -> F[1,2] p)", "--k", "2"],
+        ["-f", "p U[0,3] !p", "--semantics", "lazy", "--anchor", "zero", "--k", "1"],
+    ])
+    def test_stats_are_laid_out_as_json_with_indent_2(self, capsys, trace_file, argv_tail):
+        main(["check", trace_file, "--stats"] + argv_tail)
+        out = capsys.readouterr().out
+        text = out[:out.index("VERDICT:") - 1]
+        assert text == json.dumps(json.loads(text), indent=2)
+
+    def test_json_pieces_match_json_dumps(self):
+        for value in [{}, [], {"a": []}, {"a": {}}, [[], [{}], 0],
+                      {"k\u00e9y\n": [1.5, -0.0, 1e300, None, True, "\"q\""], "z": {"y": [{"x": 2}]}}]:
+            assert "".join(cli._json_pieces(value)) == json.dumps(value, indent=2)
 
     def test_table_to_stdout(self, capsys, trace_file):
         code = main(["check", trace_file, "-f", "F[3,7] p", "--table", "-"])
@@ -419,6 +437,17 @@ class TestCheck:
         assert status == 2
         assert err.getvalue() == "error: standard output was closed before the output was written\n"
 
+    def test_closed_stdout_without_a_descriptor_is_one_plain_error(self, trace_file):
+        class ClosedPipe(io.StringIO):  # its fileno() raises io.UnsupportedOperation
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        with mock.patch("sys.stdout", ClosedPipe()), contextlib.redirect_stderr(err):
+            status = main(["check", trace_file, "-f", "p"])
+        assert status == 2
+        assert err.getvalue() == "error: standard output was closed before the output was written\n"
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
     def test_out_of_memory_is_one_plain_error(self, tmp_path):
         # the table of this plan holds hundreds of MiB; the child may map
@@ -616,6 +645,12 @@ class TestOneParser:
              "VERDICT: true\n", ""),
             (["check", str(bad), "-f", "p"], 2, "",
              "error: line 2: non-monotonic timestamp 1 (previous was 1)\n"),
+            (["check", trace_file, "-f", "F[1,2] p", "--stats"], 0,
+             '{\n  "verdict": true,\n  "iterations": 2,\n  "elements": 7,\n'
+             '  "elements_reduced": 2,\n  "peak_win_records": 1,\n  "reducers": [\n'
+             '    {\n      "reducer_key": "F[1,2] p",\n      "peak_win": 1,\n'
+             '      "records_in": 2,\n      "markers": 0,\n      "records_out": 1,\n'
+             '      "iteration_ms": 0\n    }\n  ]\n}\nVERDICT: true\n', ""),
             plain,
         ]
 
@@ -623,7 +658,8 @@ class TestOneParser:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = main(argv)
-            return status, out.getvalue(), err.getvalue()
+            shown = re.sub(r'"iteration_ms": [^\n]+', '"iteration_ms": 0', out.getvalue())
+            return status, shown, err.getvalue()
 
         collecting = gc.isenabled()
         gc.disable()

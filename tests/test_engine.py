@@ -439,18 +439,28 @@ class TestFusedReducers:
         children = [LEFT] if kind in ("eventually", "globally", "exact-step", "not",
                                       "until-same") else [LEFT, RIGHT]
         records = data.draw(raw_streams(children))
-        got = _run_reducer(ENGINE, shuffle_sort(list(records)), kind, iv, leafs)
+        window = REDUCER_KINDS[kind][ENGINE][0] is reduce_window
+        extra = {}
+        if window:
+            # a window key answers no instant past its reach, and buffers,
+            # evicts, cuts and counts its peak there as without one
+            reach = data.draw(st.integers(min_value=0, max_value=17) | st.just(engine.END),
+                              label="reach")
+            extra = dict(reach=reach)
+        got = _run_reducer(ENGINE, shuffle_sort(list(records)), kind, iv, leafs, **extra)
         want = _run_reducer(ORACLE, records, kind, iv, leafs)
+        if window and not isinstance(want, str):
+            want = [r for r in want[0] if record_tau(r) <= reach], want[1]
         assert got == want
-        if REDUCER_KINDS[kind][ENGINE][0] is reduce_window:
+        if window:
             # the same stream in two blocks through one carried buffer,
             # split at an instant boundary: an instant's records are in one
             ordered = shuffle_sort(list(records))
             cut = data.draw(st.integers(min_value=0, max_value=17))
             split = sum(record_tau(r) >= cut for r in ordered)
             state = WindowState()
-            first = _run_reducer(ENGINE, ordered[:split], kind, iv, leafs, state=state)
-            second = _run_reducer(ENGINE, ordered[split:], kind, iv, leafs, state=state)
+            first = _run_reducer(ENGINE, ordered[:split], kind, iv, leafs, state=state, **extra)
+            second = _run_reducer(ENGINE, ordered[split:], kind, iv, leafs, state=state, **extra)
             if isinstance(want, str):
                 assert want in (first, second)
             else:
@@ -991,6 +1001,52 @@ class TestReach:
         with mock.patch.object(engine, "BLOCK", block):
             res = run_pipeline(w, f, **kwargs)
         assert (_shown(res), res.stats.elements_reduced) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_outputs_lie_in_the_window_and_match_the_full_streams(self, data):
+        f, w, kwargs, _ = _reach_case(data)
+        outputs = defaultdict(list)
+        reduce_node = engine.reduce_node
+
+        def spy(table, node_id, records, states, reach=engine.END):
+            got = reduce_node(table, node_id, records, states, reach)
+            outputs[node_id] += got[0]
+            return got
+
+        with mock.patch.object(engine, "reduce_node", spy):
+            res = run_pipeline(w, f, **kwargs)
+        full = run_pipeline(w, f, collect_streams=True, **kwargs)
+        assert full.table.id_of == res.table.id_of
+        anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
+        floor, reach, _, _, _ = compute_windows(res.table, anchor, w.timestamps)
+        for kid, records in outputs.items():
+            at = {record_tau(r): r for r in full.streams[kid]}
+            for r in records:
+                assert floor[kid] <= record_tau(r) <= reach[kid], (kid, r)
+                assert at.get(record_tau(r)) == r, (kid, r)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, dict(semantics=LAZY, window_budget=1),
+        dict(semantics=LAZY, window_budget=1, anchor=ANCHOR_ZERO),
+    ])
+    def test_an_until_cut_past_the_reach_still_cuts(self, kwargs):
+        # at 1, q's witness at 3 is cut by p failing at 2, an instant past
+        # the key's reach, 1, where it answers nothing
+        w = word((("q",), 1), (("q",), 2), (("q",), 3))
+        f = parse_formula("p U[2,3) q")
+        if kwargs.get("anchor") == ANCHOR_ZERO:
+            want = eval_lazy(w, 0, lazy_translation(f))
+        else:
+            want = eval_point(w, 0, f)
+        assert want is False
+        assert run_pipeline(w, f, **kwargs).verdict is False
+
+    def test_the_root_answers_only_at_the_anchor(self):
+        w = word(*((("p",), t) for t in range(1, 201)))
+        res = run_pipeline(w, parse_formula("F[0,100] p"))
+        root = res.stats.reducers[-1]
+        assert (res.verdict, root.records_out, root.peak_win) == (True, 1, 101)
 
     @pytest.mark.parametrize("budget", [None, 4])
     def test_work_does_not_grow_with_the_trace(self, budget):
