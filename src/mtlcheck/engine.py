@@ -2,12 +2,13 @@
 
 The pipeline evaluates one key per distinct subformula.  A read step turns
 trace elements into atom records, one per element and atom key, read off
-the word's timestamps and the atom's flag column; each later iteration
-reduces all keys of the next height, so a run takes as many iterations as
-the formula is tall.  Every key's output is routed to the keys of its
-superformulas, and each key also receives sanctioned virtual-instant
-markers; reducers process one key's records in descending timestamp order
-with a sliding window over the key's interval.
+the word's timestamps and the atom's flag column (a verdict run reads each
+*literal*, a negated atom, off its atom's column too; see below); each
+later iteration reduces all keys of the next height, so a run takes as
+many iterations as the formula is tall.  Every key's output is routed to
+the keys of its superformulas, and each key also receives sanctioned
+virtual-instant markers; reducers process one key's records in descending
+timestamp order with a sliding window over the key's interval.
 
 Records are packed into single integers::
 
@@ -130,6 +131,24 @@ changes no output.  The slicing of time by both ends of a formula's
 windows is that of Basin et al., "Scalable offline monitoring of temporal
 specifications" (FMSD 2016).
 
+A verdict run also slices inside a window.  Where only boolean keys and
+exact steps read a window key, they read it at a few instants, its
+*answer instants* (``compute_windows``): the hop heads of a decomposed
+chain, ``F[0,1000] p`` under ``F[0,10000] p --k 1000``, are read at the
+anchor and every 1,000 instants after it, not at the 9,001 instants of
+their window.  ``reduce_window`` answers only those, and still buffers,
+evicts and cuts at every instant, as past its reach.  A negated atom that
+is not the root and that no exact step reads is a *literal*
+(``leaf_keys``): the read step builds its records from its atom's flag
+column, inverted, for the elements in the literal's own window, and
+passes its atom no window, so an atom only literals read builds no
+records.  A literal is not reduced and has no ``--stats`` row.  Its
+records lie only at positions, which is all a window reader reads, and a
+boolean reader reads it true at an instant where it has none, as the
+negation of an atom, false off the positions, would read there.  A run
+that collects streams reduces every negation and answers every instant,
+so its streams are those above.
+
 Markers go only to gaps between positions up to the last one, and no key
 emits a record past the last element: the decomposition puts every exact
 step over an eventually or until chain, which is false where no position
@@ -160,12 +179,13 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from operator import neg
-from typing import Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Optional, Sequence, Union
 
 from .formula import (
     Act,
     And,
     Atom,
+    Eventually,
     ExactStep,
     Formula,
     FormulaTable,
@@ -179,6 +199,7 @@ from .formula import (
     node_interval,
     node_texts,
     postorder,
+    singleton,
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
 from .trace import TIMESTAMP_MAX, TimedWord, parse_trace_lines
@@ -221,40 +242,66 @@ def record_truth(r: int) -> bool:
 # Pipeline operators
 # ---------------------------------------------------------------------------
 
+Leaf = tuple[int, str, int]  # a read step key: its id, its atom's name, its truth bit flip
+
+
+def leaf_keys(table: FormulaTable, literals: bool = False) -> list[Leaf]:
+    """The keys the read step builds records for, as (key id, atom name,
+    flip), where flip is the bit xored into the atom's truth bit: every
+    atom (flip 0) and, with ``literals``, every literal (flip
+    ``TRUTH_FLAG``).  A *literal* is the negation of an atom that is not
+    the root (which is read for the verdict) and that no exact step reads
+    (a step reads its operand at any instant, but a literal has records
+    only at positions).  Flip is also what a boolean key reads the key as
+    where it has no record (see ``reduce_join``)."""
+    leaves: list[Leaf] = []
+    for key_id in range(1, table.size + 1):
+        height = table.height_of[key_id]
+        if height == 1:
+            leaves.append((key_id, table.node(key_id).name, 0))
+        elif literals and height == 2 and key_id != table.root_id:
+            node = table.node(key_id)
+            if isinstance(node, Not) and not any(
+                isinstance(table.node(p), ExactStep) for p in table.parent_ids[key_id]
+            ):
+                atom = table.node(table.child_ids[key_id][0])
+                leaves.append((key_id, atom.name, TRUTH_FLAG))
+    return leaves
+
+
 def atom_records(
     word: TimedWord,
-    table: FormulaTable,
+    leaves: Iterable[Leaf],
     start: int = 0,
     stop: Optional[int] = None,
     windows: Optional[tuple[Sequence[int], Sequence[int]]] = None,
 ) -> dict[int, list[int]]:
-    """The read step: one position record per trace element and atom key,
-    for the elements ``start:stop`` (all of them by default), ascending.
+    """The read step: one position record per trace element and read step
+    key (see ``leaf_keys``), for the elements ``start:stop`` (all of them
+    by default), ascending; a literal's truth is its atom's, inverted.
     With ``windows``, the keys' floors and reaches (see
-    ``compute_windows``), an atom gets records only for the elements from
-    its floor up to its reach, and an atom with none there is left out."""
+    ``compute_windows``), a key gets records only for the elements from
+    its floor up to its reach, and a key with none there is left out."""
     positions = word.timestamps
     if stop is None:
         stop = len(positions)
-    per_atom: dict[int, list[int]] = {}
-    for node in table.nodes:
-        if isinstance(node, Atom):
-            aid = table.id_of[node]
-            i, j = start, stop
-            if windows is not None:
-                i = bisect_left(positions, windows[0][aid], start, stop)
-                j = bisect_right(positions, windows[1][aid], i, stop)
-                if i == j:
-                    continue
-            by_flag = (  # indexed by the atom's flag byte at an element
-                pack_record(0, aid, False, True, False),
-                pack_record(0, aid, True, True, False),
-            )
-            per_atom[aid] = [
-                (tau << TAU_SHIFT) | by_flag[flag]
-                for tau, flag in zip(positions[i:j], word.column(node.name)[i:j])
-            ]
-    return per_atom
+    per_key: dict[int, list[int]] = {}
+    for key_id, name, flip in leaves:
+        i, j = start, stop
+        if windows is not None:
+            i = bisect_left(positions, windows[0][key_id], start, stop)
+            j = bisect_right(positions, windows[1][key_id], i, stop)
+            if i == j:
+                continue
+        by_flag = (  # indexed by the atom's flag byte at an element
+            pack_record(0, key_id, bool(flip), True, False),
+            pack_record(0, key_id, not flip, True, False),
+        )
+        per_key[key_id] = [
+            (tau << TAU_SHIFT) | by_flag[flag]
+            for tau, flag in zip(positions[i:j], word.column(name)[i:j])
+        ]
+    return per_key
 
 
 def input_read(
@@ -313,13 +360,18 @@ END = TIMESTAMP_MAX + 1  # a reach past every element: the whole trace is read
 
 
 def compute_windows(
-    table: FormulaTable, anchor: Optional[int], positions: Sequence[int]
-) -> tuple[list[int], list[int], list[int], list[int], list[int]]:
-    """Five lists indexed by key id, from one pass that visits every parent
-    before its children (ids are assigned children first): each key's
-    floor and reach, the first and the last instant any reader reads it at;
-    and each key's operand read window, the first instants it reads its
-    first and its last operand at and the last instant it reads them at.
+    table: FormulaTable,
+    anchor: Optional[int],
+    positions: Sequence[int],
+    literals: Container[int] = (),
+) -> tuple[list[int], list[int], list[int], list[int], list[int], dict[int, list[int]]]:
+    """Five lists indexed by key id and a dict, from one pass that visits
+    every parent before its children (ids are assigned children first):
+    each key's floor and reach, the first and the last instant any reader
+    reads it at; each key's operand read window, the first instants it
+    reads its first and its last operand at and the last instant it reads
+    them at; and the answer instants of some window keys.
+
     The root's floor and reach are ``anchor``.  A key reads its operands
     from its floor plus its lower bound (0 for boolean keys, the step for
     exact steps, the closed lower bound of the interval otherwise; until
@@ -333,13 +385,34 @@ def compute_windows(
     below ``anchor``.  A key whose floor passes its reach (one that such a
     parent reads where no position lies, or under an interval with no
     integer in it) is read at no instant: it reads from ``END`` on and
-    lowers no child's floor.  With ``anchor`` None every floor is 0 and
-    every reach ``END``: a run that collects streams reads every key whole."""
+    lowers no child's floor.  A key in ``literals`` (see ``leaf_keys``)
+    is read from its atom's flag column, so it passes no window to its
+    atom.  With ``anchor`` None every floor is 0 and every reach ``END``:
+    a run that collects streams reads every key whole.
+
+    *Answer instants* are the instants a key is read at, when only
+    boolean keys and exact steps read it: the root is read at ``anchor``,
+    a boolean key reads its operands at its own instants and an exact
+    step at its own plus its step, while a window or until reader, or a
+    key read at more than one instant, leaves its operands none (they
+    answer every instant up to their reach, as without answer instants).
+    Such a key's floor and reach are its first and its last answer
+    instant, so a key read at one instant answers only there anyway, and
+    a boolean key read at several would also answer between them, where
+    its operands must answer too.  The dict holds, for each window key
+    with answer instants and a floor below its reach, the ones up to the
+    last position (no key answers past the last element), descending."""
     size = table.size + 1
     floor = [0 if anchor is None else END] * size
     reach = [END if anchor is None else anchor] * size
+    # each key's answer instants up to the last position while its parents
+    # add them, or None once a parent leaves it none
+    instants: dict[int, Optional[set[int]]] = {}
     if anchor is not None:
         floor[table.root_id] = anchor
+        instants[table.root_id] = {anchor}
+    answers: dict[int, list[int]] = {}
+    final = positions[-1]
     left_from, right_from, reads = [END] * size, [END] * size, [END] * size
     for node_id in range(table.size, 0, -1):
         node = table.node(node_id)
@@ -351,10 +424,19 @@ def compute_windows(
             j = bisect_right(positions, last)
             last = positions[j - 1] if j else -1
         reads[node_id] = last
+        mine = instants.pop(node_id, None)
+        point = floor[node_id] == reach[node_id]
+        if mine is not None and interval is not None and not point:
+            answers[node_id] = sorted(mine, reverse=True)
+        if node_id in literals:
+            continue
         live = floor[node_id] <= reach[node_id]
         if live:
             right = right_from[node_id] = floor[node_id] + lo
             left = left_from[node_id] = floor[node_id] if isinstance(node, Until) else right
+            # whether this key leaves its operands answer instants: its one
+            # instant, shifted by its step (none past the last position)
+            passes = mine is not None and point and not at_positions
         for i, child in enumerate(table.child_ids[node_id]):
             if reach[child] < last:
                 reach[child] = last
@@ -366,7 +448,14 @@ def compute_windows(
                 first = positions[j] if j < len(positions) else END
             if floor[child] > first:
                 floor[child] = first
-    return floor, reach, left_from, right_from, reads
+            if anchor is None:
+                continue
+            have = instants.setdefault(child, set())
+            if not passes:
+                instants[child] = None
+            elif have is not None and right <= final:
+                have.add(right)
+    return floor, reach, left_from, right_from, reads, answers
 
 
 def shuffle_sort(records: list[int]) -> list[int]:
@@ -419,6 +508,7 @@ def reduce_window(
     key: object = "?",
     state: Optional[WindowState] = None,
     reach: int = END,
+    answers: Optional[Sequence[int]] = None,
 ) -> tuple[list[int], int]:
     """Sliding-window reducer for eventually / globally / exact-step / until
     keys.
@@ -461,7 +551,10 @@ def reduce_window(
     peak and applies its until cut, since the instants up to the reach
     read the buffer those leave; an instant that only cuts is processed
     too.  So the outputs are those without a reach, up to it, and the peak
-    is the same.
+    is the same.  With ``answers``, the key's answer instants in
+    descending order (see ``compute_windows``), only those instants are
+    answered, found with a cursor that moves down them as the instants
+    decrease; every other instant is processed as one past the reach.
 
     Boolean keys keep their own loop in ``reduce_join``: folding the join
     in as well (operand values per instant instead of a buffer) measured
@@ -487,6 +580,12 @@ def reduce_window(
     outputs: list[int] = []
     i = 0
     n = len(records)
+    # the next instant to answer: the reach, or the first answer instant
+    # at or below the block's first instant (-1 when none is left)
+    want = reach
+    if answers is not None:
+        at = bisect_left(answers, -(records[0] >> TAU_SHIFT), key=neg) if n else 0
+        want = answers[at] if at < len(answers) else -1
     while i < n:
         r = records[i]
         tau = r >> TAU_SHIFT
@@ -536,11 +635,16 @@ def reduce_window(
             del win[:head]
             end -= head
             head = 0
-        if emit and tau <= reach:
-            # the head is the latest entry in range, so the window holds an
-            # entry iff the head clears the lower edge
-            val = (head_val - tau >= lo) != universal if head < end else universal
-            outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
+        if emit and tau <= want:
+            if answers is not None:
+                while want > tau:  # move the cursor down to tau
+                    at += 1
+                    want = answers[at] if at < len(answers) else -1
+            if want == tau or answers is None:
+                # the head is the latest entry in range, so the window
+                # holds an entry iff the head clears the lower edge
+                val = (head_val - tau >= lo) != universal if head < end else universal
+                outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
         if cut:
             # a failing left operand at this position cuts continuity for
             # every earlier instant toward witnesses strictly beyond it
@@ -555,25 +659,28 @@ def reduce_window(
 def reduce_join(
     records: Sequence[int],
     operand_ids: tuple[int, ...],
-    operand_is_leaf: tuple[bool, ...],
+    operand_unset: tuple[Optional[int], ...],
     op: str,
     out_key: int,
     key: object,
 ) -> tuple[list[int], int]:
     """Boolean reducer: joins operand values instant by instant.
 
-    At an emission instant every composite operand must have produced a
-    record (anything else is a pipeline defect); a missing atom operand
-    simply reads false, since atoms only ever have records at positions.
-    Instants without an emission trigger are skipped silently — shared
-    operands may legitimately stream values at a superset of instants.
-    A negation's single operand fills both operand slots.  ``key`` names
-    the key in errors, as for ``reduce_window``.
+    ``operand_unset`` gives, per operand, the truth bit it reads at an
+    instant where it has no record, or None.  Atoms and literals (see
+    ``leaf_keys``) only ever have records at positions, so elsewhere an
+    atom reads false (0) and a literal true (``TRUTH_FLAG``); at an
+    emission instant every composite operand must have produced a record
+    (anything else is a pipeline defect).  Instants without an emission
+    trigger are skipped silently — shared operands may legitimately stream
+    values at a superset of instants.  A negation's single operand fills
+    both operand slots.  ``key`` names the key in errors, as for
+    ``reduce_window``.
     """
     left_bits = operand_ids[0] << 3
     right_bits = operand_ids[-1] << 3
-    left_unset = 0 if operand_is_leaf[0] else None
-    right_unset = 0 if operand_is_leaf[-1] else None
+    left_unset = operand_unset[0]
+    right_unset = operand_unset[-1]
     negation = op == "not"
     conjunction = op == "and"
     out_bits = out_key << 3
@@ -630,6 +737,9 @@ def reduce_join(
 # Job plan and runner
 # ---------------------------------------------------------------------------
 
+KEY_TEXT_CAP = 200  # characters of a key's text a ``--stats`` row writes in its parents' texts
+
+
 @dataclass(slots=True)
 class ReducerStats:
     reducer_key: Formula  # rendered as text only in the ``--stats`` envelope
@@ -654,9 +764,14 @@ class RunStats:
         their keys' texts.  The rows are in order of height, so the last
         is the root's, and every key's text comes from one shared pass
         over the root's nodes.  The keys read through position guards, and
-        so do their texts."""
+        so do their texts.  A key with a row whose text is longer than
+        ``KEY_TEXT_CAP`` is written in its parents' texts as ``#`` and its
+        row's index, so the envelope grows linearly with a plan's depth;
+        keys with no row (atoms, and literals in a verdict run) are
+        written whole."""
         keys = postorder(self.reducers[-1].reducer_key, operands) if self.reducers else []
-        texts = node_texts(keys, operands)
+        refs = {row.reducer_key: index for index, row in enumerate(self.reducers)}
+        texts = node_texts(keys, operands, refs, KEY_TEXT_CAP)
         # a slotted row has no vars(), and asdict would copy each key's subtree
         names = [f.name for f in fields(ReducerStats)]
         rows = [
@@ -680,33 +795,69 @@ class PipelineResult:
         return self.streams[self.table.id_of[f]]
 
 
-def reduce_node(
+# Reducer kinds, by node class: the joins first, in the order of JOIN_OPS.
+JOIN_OPS = ("not", "and", "or")
+KIND_OF = {Not: 0, And: 1, Or: 2, Eventually: 3, Globally: 4, ExactStep: 5, Until: 6}
+EXACT, GLOBALLY, UNTIL = KIND_OF[ExactStep], KIND_OF[Globally], KIND_OF[Until]
+READ = len(KIND_OF)  # the kind of an atom, which the read step builds
+COMPOSITE_OPERANDS = (None, None)  # the unset values of a join over no read step key
+
+
+@dataclass(slots=True)
+class KeyReducers:
+    """What ``reduce_node`` needs of a run besides a block's records, fixed
+    before the first block but the window states.  Each is a column
+    indexed by key id or a dict holding only the keys it applies to, so
+    the keys of a deep plan add a byte each."""
+
+    table: FormulaTable
+    kinds: bytes  # each key's reducer kind (see KIND_OF)
+    unset: dict[int, tuple[Optional[int], ...]]  # joins over read step keys: operand_unset
+    reach: Sequence[int]  # each key's reach (see compute_windows)
+    answers: dict[int, list[int]]  # window keys with answer instants (see compute_windows)
+    states: defaultdict[int, WindowState] = field(default_factory=lambda: defaultdict(WindowState))
+
+
+def key_reducers(
     table: FormulaTable,
-    node_id: int,
-    records: list[int],
-    states: defaultdict[int, WindowState],
-    reach: int = END,
-) -> tuple[list[int], int]:
+    leaves: Iterable[Leaf],
+    reach: Sequence[int],
+    answers: dict[int, list[int]],
+) -> KeyReducers:
+    """A run's ``KeyReducers``: the kind of every key, and the unset values
+    of the joins over its read step keys ``leaves`` (see ``leaf_keys``)."""
+    kinds = bytes([READ] + [KIND_OF.get(type(node), READ) for node in table.nodes])
+    flips = {key_id: flip for key_id, _, flip in leaves}
+    unset = {}
+    for key_id in flips:
+        for parent in table.parent_ids[key_id]:
+            if kinds[parent] < len(JOIN_OPS):
+                unset[parent] = tuple([flips.get(kid) for kid in table.child_ids[parent]])
+    return KeyReducers(table, kinds, unset, reach, answers)
+
+
+def reduce_node(keys: KeyReducers, node_id: int, records: list[int]) -> tuple[list[int], int]:
     """Reduce one block of a key's records, sorted by ``shuffle_sort``, with
-    the reducer of the key's node kind, for a key that is not an atom; it
-    returns the block's outputs and the key's peak buffer so far.  Blocks
-    come later ones first, and a window key's buffer is carried between
-    them in ``states``, which makes it at the key's first block.  A window
-    key answers no instant past ``reach``, the last instant it is read at;
-    a boolean key's inputs and markers are already cut there.  The
-    reducers are looked up by name at each call, so a wrapper put on the
-    module sees them."""
-    node = table.node(node_id)
-    kids = table.child_ids[node_id]
-    if isinstance(node, (Not, And, Or)):
-        leafs = tuple([table.height_of[i] == 1 for i in kids])
-        op = "not" if isinstance(node, Not) else "and" if isinstance(node, And) else "or"
-        return reduce_join(records, kids, leafs, op, node_id, node)
+    the reducer of the key's kind, for a key the read step does not build;
+    it returns the block's outputs and the key's peak buffer so far.
+    Blocks come later ones first, and a window key's buffer is carried
+    between them in ``keys.states``, which makes it at the key's first
+    block.  A window key answers no instant past its reach, the last
+    instant it is read at, and with answer instants only those; a boolean
+    key's inputs and markers are already cut there.  The reducers are
+    looked up by name at each call, so a wrapper put on the module sees
+    them."""
+    kind = keys.kinds[node_id]
+    kids = keys.table.child_ids[node_id]
+    node = keys.table.node(node_id)
+    if kind < len(JOIN_OPS):
+        unset = keys.unset.get(node_id, COMPOSITE_OPERANDS)
+        return reduce_join(records, kids, unset, JOIN_OPS[kind], node_id, node)
     return reduce_window(  # until is eventually over its right operand, cut by its left one
-        records, kids[-1], node_interval(node), node_id,
-        admit_any=isinstance(node, ExactStep), universal=isinstance(node, Globally),
-        cut_id=kids[0] if isinstance(node, Until) else None, key=node, state=states[node_id],
-        reach=reach,
+        records, kids[-1], singleton(node.step) if kind == EXACT else node.interval, node_id,
+        admit_any=kind == EXACT, universal=kind == GLOBALLY,
+        cut_id=kids[0] if kind == UNTIL else None, key=node, state=keys.states[node_id],
+        reach=keys.reach[node_id], answers=keys.answers.get(node_id),
     )
 
 
@@ -804,8 +955,12 @@ def run_pipeline(
         raise EngineError("formula too large for the record encoding")
     positions = word.timestamps
     anchor_instant = 0 if anchor == ANCHOR_ZERO else positions[0]
-    floor, reach, left_from, right_from, reads = compute_windows(
-        table, None if collect_streams else anchor_instant, positions
+    # the keys the read step builds: every atom and, in a verdict run,
+    # every literal; a run that collects streams reduces every negation
+    leaves = leaf_keys(table, literals=not collect_streams)
+    literals = {key_id for key_id, _, flip in leaves if flip}
+    floor, reach, left_from, right_from, reads, answers = compute_windows(
+        table, None if collect_streams else anchor_instant, positions, literals
     )
     # the walk covers the elements up to the anchor plus the formula's
     # lookahead (at least the first, whose block holds the anchor), and
@@ -819,13 +974,13 @@ def run_pipeline(
     gapped = walked <= last - first
     horizon = last - anchor_instant if gapped else max(first - 1 - anchor_instant, 0)
     offsets = compute_offsets(table, horizon)
-    states: defaultdict[int, WindowState] = defaultdict(WindowState)  # window keys' buffers
+    keys = key_reducers(table, leaves, reach, answers)
     # every parent is strictly taller than its children, so in this order
     # (by height, then id: the sort is stable) each key's block inbox is
     # complete when taken
-    order = [i for i in range(1, table.size + 1) if table.child_ids[i]]  # not atoms
+    order = [i for i in range(1, table.size + 1) if table.child_ids[i] and i not in literals]
     order.sort(key=table.height_of.__getitem__)
-    rows = {kid: ReducerStats(table.node(kid), 0, 0, 0, 0, 0.0) for kid in order}
+    rows = [ReducerStats(table.node(kid), 0, 0, 0, 0, 0.0) for kid in order]  # one per key of order
     streams: Optional[dict[int, list[int]]] = {} if collect_streams else None
     root_id = table.root_id
     root_outputs: list[int] = []
@@ -860,13 +1015,13 @@ def run_pipeline(
             inboxes.setdefault(parent_id, []).extend(part)
 
     def read(start: int, stop: int) -> None:
-        """Route the atom records of the elements ``start:stop``, each
-        atom's only from its floor up to its reach."""
-        per_atom = atom_records(word, table, start, stop, (floor, reach))
-        while per_atom:
-            atom_id, records = per_atom.popitem()
+        """Route the read step's records of the elements ``start:stop``,
+        each key's only from its floor up to its reach."""
+        per_key = atom_records(word, leaves, start, stop, (floor, reach))
+        while per_key:
+            key_id, records = per_key.popitem()
             records.reverse()  # descending, as every key's outputs are
-            route(atom_id, records)
+            route(key_id, records)
 
     def take(key_id: int, start: int, stop: int) -> tuple[list[int], int]:
         """A key's block inbox plus its markers in the block: its sanctioned
@@ -896,16 +1051,15 @@ def run_pipeline(
             records += [(t << TAU_SHIFT) | POSITION_MARKER for t in positions[i:j]]
         return records, len(markers)
 
-    def reduce_key(kid: int, start: int, stop: int) -> None:
+    def reduce_key(kid: int, row: ReducerStats, start: int, stop: int) -> None:
         nonlocal root_outputs
         records, markers = take(kid, start, stop)
         if not records:  # nothing at this key's instants in the block
             return
-        row = rows[kid]
         row.records_in += len(records)
         row.markers += markers
         began = time.perf_counter()
-        outputs, peak = reduce_node(table, kid, shuffle_sort(records), states, reach[kid])
+        outputs, peak = reduce_node(keys, kid, shuffle_sort(records))
         row.iteration_ms += (time.perf_counter() - began) * 1000.0
         del records  # the consumed inbox, dropped before the outputs are routed
         row.peak_win = max(row.peak_win, peak)
@@ -923,10 +1077,10 @@ def run_pipeline(
     for stop in range(walked, 0, -BLOCK):
         start = max(stop - BLOCK, 0)
         read(start, stop)
-        for kid in order:
-            reduce_key(kid, start, stop)
+        for kid, row in zip(order, rows):
+            reduce_key(kid, row, start, stop)
     if streams is not None:
-        streams.update(atom_records(word, table))
+        streams.update(atom_records(word, leaves))
 
     total_height = table.height
     if total_height == 1:
@@ -947,15 +1101,14 @@ def run_pipeline(
                 f"no verdict record at anchor instant {anchor_instant}"
             )
 
-    reducer_rows = list(rows.values())
-    peak_global = max((row.peak_win for row in reducer_rows), default=0)
+    peak_global = max((row.peak_win for row in rows), default=0)
     stats = RunStats(
         verdict=verdict_value,
         iterations=total_height,
         elements=word.trace_length,
         elements_reduced=walked,
         peak_win_records=peak_global,
-        reducers=reducer_rows,
+        reducers=rows,
     )
     return PipelineResult(
         verdict=verdict_value,

@@ -396,18 +396,34 @@ def to_text(f: Formula) -> str:
     return fold(f, _render)[0]
 
 
-def node_texts(nodes: Iterable[Formula], subformulas: Subformulas = children) -> dict[Formula, str]:
+def node_texts(
+    nodes: Iterable[Formula],
+    subformulas: Subformulas = children,
+    refs: Optional[dict[Formula, int]] = None,
+    cap: Optional[int] = None,
+) -> dict[Formula, str]:
     """The text of every node in ``nodes``, which lists each node after its
     children (as ``postorder`` and ``FormulaTable.nodes`` do, with the same
     ``subformulas``), in one pass that renders each node once from its
     children's texts.  Rendered over ``transforms.operands``, a key's text
     omits the position guards it reads through.  A ``to_text`` per node
     would fold its whole subtree again, so a chain of n nodes would copy on
-    the order of n**3 characters instead of its texts' n**2."""
+    the order of n**3 characters instead of its texts' n**2.
+
+    With ``refs`` and ``cap``, a node whose text is longer than ``cap``
+    and that has a number in ``refs`` is written in its parents' texts as
+    ``#`` and that number, so a chain's texts stay within about twice the
+    cap each instead of growing with its depth; nodes with no number are
+    written whole."""
     image: dict[Formula, tuple[str, int]] = {}
+    texts: dict[Formula, str] = {}
     for node in nodes:
-        image[node] = _render(node, tuple([image[kid] for kid in subformulas(node)]))
-    return {node: text for node, (text, _) in image.items()}
+        text, level = _render(node, tuple([image[kid] for kid in subformulas(node)]))
+        texts[node] = text
+        if cap is not None and len(text) > cap and node in refs:
+            text, level = f"#{refs[node]}", _LEVEL_ATOM
+        image[node] = text, level
+    return texts
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,29 @@ class TestCheck:
                 capsys.readouterr()
                 assert pipeline == oracle
 
+    @pytest.mark.parametrize("formula", [
+        "q | !p", "(q & !r) | !p", "!p", "!!p", "!p U[0,3] q", "p & !p", "!p | F[0,2] p",
+    ])
+    @pytest.mark.parametrize("mode", [
+        [], ["--semantics", "lazy", "--k", "1"],
+        ["--semantics", "lazy", "--anchor", "zero", "--k", "1"],
+    ], ids=["point", "first-anchor", "zero-anchor"])
+    @pytest.mark.parametrize("trace", [
+        "2 q\n3 p\n6 r\n7 p q\n", "1 p\n2 p r\n5\n6 q\n9 p\n",
+    ], ids=["from-2", "from-1"])
+    def test_literals_match_the_oracle(self, capsys, tmp_path, formula, mode, trace):
+        # a negated atom is read from the atom's column, and where it has no
+        # record (a zero-anchor marker in the gap before the first element)
+        # a join reads it true
+        path = tmp_path / "gapped.txt"
+        path.write_text(trace, encoding="utf-8")
+        argv = ["check", str(path), "-f", formula] + mode
+        got = main(argv), capsys.readouterr()
+        want = main(argv + ["--oracle"]), capsys.readouterr()
+        assert got == want
+        if formula == "q | !p" and "zero" in mode:
+            assert got[0] == 0  # !p holds at instant 0, before the first element
+
     def test_lazy_oracle_without_budget(self, capsys, trace_file):
         code = main(["check", trace_file, "-f", "F[3,7] p",
                      "--semantics", "lazy", "--oracle"])
@@ -207,6 +230,23 @@ class TestCheck:
         out = capsys.readouterr().out
         text = out[:out.index("VERDICT:") - 1]
         assert text == json.dumps(json.loads(text), indent=2)
+
+    def test_long_key_texts_are_written_as_row_references(self, capsys, trace_file):
+        def texts(cap):
+            with mock.patch.object(engine, "KEY_TEXT_CAP", cap):
+                main(["check", trace_file, "-f", "F[0,300] p", "--k", "1", "--stats"])
+            out = capsys.readouterr().out
+            return [row["reducer_key"] for row in json.loads(out[:out.index("VERDICT:")])["reducers"]]
+
+        cap = engine.KEY_TEXT_CAP
+        full, capped = texts(10**9), texts(cap)
+        assert max(map(len, full)) > 10 * cap
+        assert max(map(len, capped)) <= 2 * cap + 20
+        for i, text in enumerate(capped):
+            refs = [int(ref) for ref in re.findall(r"#(\d+)", text)]
+            assert all(j < i and len(full[j]) > cap for j in refs), (i, text)
+            if not refs:
+                assert text == full[i]
 
     def test_json_pieces_match_json_dumps(self):
         for value in [{}, [], {"a": []}, {"a": {}}, [[], [{}], 0],

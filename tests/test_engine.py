@@ -21,6 +21,8 @@ from mtlcheck.engine import (
     compute_offsets,
     compute_windows,
     input_read,
+    key_reducers,
+    leaf_keys,
     pack_record,
     record_tau,
     record_truth,
@@ -110,7 +112,7 @@ class TestInputRead:
         table = analyze(parse_formula("F[3,7] p"))
         w, first = input_read(EXAMPLE_LINES)
         assert w == EXAMPLE_WORD and first == 1
-        per_atom = atom_records(w, table)
+        per_atom = atom_records(w, leaf_keys(table))
         aid = table.id_of[Atom("p")]
         recs = per_atom[aid]
         assert len(recs) == len(EXAMPLE_WORD)
@@ -123,14 +125,26 @@ class TestInputRead:
 
     def test_records_cover_every_atom_of_the_formula(self):
         table = analyze(parse_formula("p & q"))
-        per_atom = atom_records(input_read(["1 p", "2 q"])[0], table)
+        per_atom = atom_records(input_read(["1 p", "2 q"])[0], leaf_keys(table))
         assert set(per_atom) == {table.id_of[Atom("p")], table.id_of[Atom("q")]}
+
+    def test_literals_read_their_atoms_inverted(self):
+        # !q is a literal; !r under an exact step and !p at the root are not
+        table = analyze(Or(Atom("p"), And(Not(Atom("q")), ExactStep(2, Not(Atom("r"))))))
+        literal = table.id_of[Not(Atom("q"))]
+        assert [key for key, _, flip in leaf_keys(table, literals=True) if flip] == [literal]
+        assert all(not flip for _, _, flip in leaf_keys(table))
+        assert all(not flip for _, _, flip in leaf_keys(analyze(Not(Atom("p"))), literals=True))
+        per_key = atom_records(input_read(["1 p", "2 q", "4"])[0], leaf_keys(table, literals=True))
+        assert truths(per_key[literal]) == [(1, True), (2, False), (4, True)]
+        assert all(record_position(r) and record_child(r) == literal for r in per_key[literal])
 
     def test_formula_atoms_only(self):
         table = analyze(parse_formula("F[3,7] p"))
         w, first = input_read(["1 p q", "2 r", "4 p"], atoms={"p"})
         assert w.atoms == {"p"} and first == 1
-        assert atom_records(w, table) == atom_records(input_read(["1 p q", "2 r", "4 p"])[0], table)
+        leaves = leaf_keys(table)
+        assert atom_records(w, leaves) == atom_records(input_read(["1 p q", "2 r", "4 p"])[0], leaves)
         with pytest.raises(TraceError, match="line 3"):  # a line of other atoms is checked too
             input_read(["1 p", "2 q", "2 r"], atoms={"p"})
 
@@ -383,7 +397,10 @@ def _run_reducer(side, records, kind, iv, leafs, **extra):
     kwargs = {**kwargs, **extra}
     try:
         if fn in (reduce_join, naive_reduce_join):
-            return fn(records, args[0], leafs[: len(args[0])], kind, KEY, "k")
+            leafs = leafs[: len(args[0])]
+            if fn is reduce_join:  # a leaf operand reads false where it has no record
+                leafs = tuple([0 if leaf else None for leaf in leafs])
+            return fn(records, args[0], leafs, kind, KEY, "k")
         return fn(records, *args, iv, KEY, key="k", **kwargs)
     except EngineError as exc:
         return str(exc)
@@ -442,15 +459,22 @@ class TestFusedReducers:
         window = REDUCER_KINDS[kind][ENGINE][0] is reduce_window
         extra = {}
         if window:
-            # a window key answers no instant past its reach, and buffers,
-            # evicts, cuts and counts its peak there as without one
+            # a window key answers no instant past its reach, nor, with
+            # answer instants, any other instant, and buffers, evicts,
+            # cuts and counts its peak there as without them
             reach = data.draw(st.integers(min_value=0, max_value=17) | st.just(engine.END),
                               label="reach")
             extra = dict(reach=reach)
+            if data.draw(st.booleans(), label="with answer instants"):
+                answers = data.draw(st.lists(st.integers(min_value=0, max_value=17), unique=True),
+                                    label="answers")
+                extra["answers"] = sorted([t for t in answers if t <= reach], reverse=True)
         got = _run_reducer(ENGINE, shuffle_sort(list(records)), kind, iv, leafs, **extra)
         want = _run_reducer(ORACLE, records, kind, iv, leafs)
         if window and not isinstance(want, str):
-            want = [r for r in want[0] if record_tau(r) <= reach], want[1]
+            answered = extra.get("answers")
+            want = [r for r in want[0] if record_tau(r) <= reach
+                    and (answered is None or record_tau(r) in answered)], want[1]
         assert got == want
         if window:
             # the same stream in two blocks through one carried buffer,
@@ -742,15 +766,16 @@ def _mapper_route(w, formula, budget):
     )
     inbox = defaultdict(list)
     streams = {}
-    for aid, recs in atom_records(w, table).items():
+    leaves = leaf_keys(table)
+    for aid, recs in atom_records(w, leaves).items():
         streams[aid] = list(recs)
         for rec in recs:
             for key, out in map_step(aid, rec, table, offsets, last):
                 inbox[key].append(out)
-    states = defaultdict(WindowState)
+    reducers = key_reducers(table, leaves, [engine.END] * (table.size + 1), {})
     keys = [i for i in range(1, table.size + 1) if table.child_ids[i]]
     for kid in sorted(keys, key=lambda i: table.height_of[i]):
-        outputs, _ = reduce_node(table, kid, shuffle_sort(inbox.pop(kid, [])), states)
+        outputs, _ = reduce_node(reducers, kid, shuffle_sort(inbox.pop(kid, [])))
         streams[kid] = outputs
         for rec in outputs:
             for key, out in map_step(kid, rec, table, offsets, last):
@@ -934,7 +959,7 @@ class TestLookahead:
                 table = run_pipeline(GAPPED_WORD, f, **kwargs).table
                 assert lookahead(table.root) == want, (to_text(f), kwargs)
                 anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else positions[0]
-                floor, reach, _, _, reads = compute_windows(table, anchor, positions)
+                floor, reach, _, _, reads, _ = compute_windows(table, anchor, positions)
                 bound = engine.END if want is None else anchor + want
                 for k in range(1, table.size + 1):
                     if floor[k] <= reach[k]:
@@ -1005,12 +1030,14 @@ class TestReach:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_outputs_lie_in_the_window_and_match_the_full_streams(self, data):
+        # every reduced key's outputs are the full run's records there, and
+        # a key with answer instants answers only where some reader reads it
         f, w, kwargs, _ = _reach_case(data)
         outputs = defaultdict(list)
         reduce_node = engine.reduce_node
 
-        def spy(table, node_id, records, states, reach=engine.END):
-            got = reduce_node(table, node_id, records, states, reach)
+        def spy(keys, node_id, records):
+            got = reduce_node(keys, node_id, records)
             outputs[node_id] += got[0]
             return got
 
@@ -1019,12 +1046,49 @@ class TestReach:
         full = run_pipeline(w, f, collect_streams=True, **kwargs)
         assert full.table.id_of == res.table.id_of
         anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
-        floor, reach, _, _, _ = compute_windows(res.table, anchor, w.timestamps)
+        literals = {key for key, _, flip in leaf_keys(res.table, literals=True) if flip}
+        assert not literals & set(outputs)  # read, not reduced
+        floor, reach, _, _, _, answers = compute_windows(
+            res.table, anchor, w.timestamps, literals)
+        read = read_at(res.table, w.timestamps, anchor)
         for kid, records in outputs.items():
             at = {record_tau(r): r for r in full.streams[kid]}
             for r in records:
                 assert floor[kid] <= record_tau(r) <= reach[kid], (kid, r)
                 assert at.get(record_tau(r)) == r, (kid, r)
+            if kid in answers:
+                assert {record_tau(r) for r in records} <= read[kid], kid
+
+    @pytest.mark.parametrize("text", ["F[0,4] p | F[2,6] p", "F[0,4] r | F[2,6] r"])
+    @pytest.mark.parametrize("anchor", [ANCHOR_FIRST, ANCHOR_ZERO])
+    def test_a_key_read_at_two_instants_leaves_its_operands_none(self, text, anchor):
+        # --k 1 reads the chain of F[0,4] at the anchor and, through
+        # F[2,6]'s first step, two instants later: its first disjunction
+        # answers every instant between, and reads its operands there
+        f = parse_formula(text)
+        res = run_pipeline(GAPPED_WORD, f, semantics=LAZY, window_budget=1, anchor=anchor)
+        instant = 0 if anchor == ANCHOR_ZERO else GAPPED_WORD.timestamps[0]
+        assert res.verdict == eval_lazy(GAPPED_WORD, instant, lazy_translation(f))
+
+    def test_a_hop_head_answers_only_where_it_is_read(self):
+        # G[0,100] q --k 10 reads its hop head F[0,10] !q at the anchor and
+        # every 10 instants after it, and !q, a literal, is never reduced
+        w = word(*(((("q",) if t % 7 else ()), t) for t in range(1, 201)))
+        f = parse_formula("G[0,100] q")
+        res = run_pipeline(w, f, semantics=LAZY, window_budget=10)
+        assert res.verdict is False
+        rows = {row.reducer_key: row for row in res.stats.reducers}
+        assert parse_formula("!q") in res.table.id_of
+        assert parse_formula("!q") not in rows
+        head = next(key for key in rows if isinstance(key, Eventually))
+        assert head.interval == Interval(0, 10)
+        read = read_at(res.table, w.timestamps, w.timestamps[0])
+        assert rows[head].records_out == len(read[res.table.id_of[head]]) == 10
+        # only the literal reads q, so q has no window and builds no records
+        literal = res.table.id_of[parse_formula("!q")]
+        floor, reach, *_ = compute_windows(res.table, w.timestamps[0], w.timestamps, {literal})
+        q = res.table.id_of[Atom("q")]
+        assert floor[q] > reach[q] and floor[literal] <= reach[literal]
 
     @pytest.mark.parametrize("kwargs", [
         {}, dict(semantics=LAZY, window_budget=1),
@@ -1099,7 +1163,7 @@ class TestFloor:
         # the converse does not hold: a key may be live and read nowhere
         f, w, kwargs, _ = _reach_case(data)
         plan, anchor = _plan(w, f, kwargs)
-        floor, reach, _, _, _ = compute_windows(plan, anchor, w.timestamps)
+        floor, reach, _, _, _, _ = compute_windows(plan, anchor, w.timestamps)
         for k, instants in enumerate(read_at(plan, w.timestamps, anchor)):
             assert all(floor[k] <= t <= reach[k] for t in instants), (
                 k, sorted(instants), floor[k], reach[k])
