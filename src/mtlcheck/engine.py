@@ -3,12 +3,15 @@
 The pipeline evaluates one key per distinct subformula.  A read step turns
 trace elements into atom records, one per element and atom key, read off
 the word's timestamps and the atom's flag column (a verdict run reads each
-*literal*, a negated atom, off its atom's column too; see below); each
-later iteration reduces all keys of the next height, so a run takes as
-many iterations as the formula is tall.  Every key's output is routed to
-the keys of its superformulas, and each key also receives sanctioned
-virtual-instant markers; reducers process one key's records in descending
-timestamp order with a sliding window over the key's interval.
+*literal*, a negated atom, off its atom's column too; see below), for the
+keys that some parent reads as records; each later iteration reduces all
+keys of the next height, so a run takes as many iterations as the formula
+is tall.  Every key's output is routed to the keys of its superformulas,
+and each key also receives sanctioned virtual-instant markers; reducers
+process one key's records in descending timestamp order with a sliding
+window over the key's interval.  An eventually or globally key over an
+atom or a literal, a *column-fed* key, reads its operand straight off the
+column instead, and takes only its markers as records.
 
 Records are packed into single integers::
 
@@ -18,10 +21,13 @@ with flag bits 1 = truth, 2 = position record, 4 = sanctioned marker.
 Child id 0 is reserved for markers, which carry no operand value; formula
 node ids start at 1.  A record's key is implicit in the per-key list holding it.
 
-There are two reducers: ``reduce_window`` for eventually, globally,
+There are two record reducers: ``reduce_window`` for eventually, globally,
 exact-step and until keys, and ``reduce_join`` for boolean keys.  Each
 takes its key's raw stream sorted by ``shuffle_sort`` and, in a single
-pass, groups it by instant and deduplicates while it reduces.
+pass, groups it by instant and deduplicates while it reduces.  Column-fed
+keys have a third loop, ``reduce_column``, which walks a block's positions
+and the operand's flag bytes with the markers merged in, and gives what
+``reduce_window`` gives over the same operand's records.
 
 - An instant emits output iff it holds a position record or a sanctioned
   marker.  Unsanctioned markers are consumed but never answered, since the
@@ -101,8 +107,8 @@ floor up to its floor plus that bound, where its readers still read it
 (an until's left operand still arrives there).  So ``take`` plants a
 *position marker* at each of the block's positions in that range (up to
 the key's reach): child 0 with the position and sanctioned flags, which
-``reduce_window`` answers as a position, so the output keeps its position
-flag.  ``--stats`` counts position markers in ``records_in`` but not in
+``reduce_window`` and ``reduce_column`` answer as a position, so the
+output keeps its position flag.  ``--stats`` counts position markers in ``records_in`` but not in
 ``markers``.  Seeding is clipped as well: each offset set's walk covers
 only the span from the lowest floor to the highest reach of the keys that
 hold it, since no key takes a marker outside its own; whether a block has
@@ -559,7 +565,11 @@ def reduce_window(
     Boolean keys keep their own loop in ``reduce_join``: folding the join
     in as well (operand values per instant instead of a buffer) measured
     17% slower on the decomposed benchmark workload and 20% slower on the
-    sparse nested one.
+    sparse nested one.  Column-fed keys (an eventually or globally key
+    over an atom or a literal) have theirs in ``reduce_column``: their
+    operand's stream is one record per position, with no duplicate and no
+    cut, so packing it, sorting it and grouping it by instant here cost
+    about three times the buffer's own work.
     """
     lo, up = closed_bounds(interval)
     sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
@@ -652,6 +662,95 @@ def reduce_window(
                 head += 1
                 if head < end:
                     head_val = win[head]
+    state.head, state.peak = head, peak
+    return outputs, peak
+
+
+def reduce_column(
+    positions: Sequence[int],
+    flags: Sequence[int],
+    markers: Sequence[int],
+    flip: int,
+    interval,
+    out_key: int,
+    *,
+    universal: bool = False,
+    state: Optional[WindowState] = None,
+    reach: int = END,
+    answers: Optional[Sequence[int]] = None,
+) -> tuple[list[int], int]:
+    """``reduce_window`` for a *column-fed* key: an eventually or globally
+    key whose operand is a read step key (see ``leaf_keys``), reduced
+    straight off that operand's atom's flag column instead of its packed
+    records.  ``positions`` are one block's positions the key reads its
+    operand at, ascending, and ``flags`` the atom's flag bytes at them;
+    the operand holds at a position where its flag xored with ``flip``
+    (the operand's) is 1.  ``markers`` are the key's sanctioned and
+    position markers in the block (see ``run_pipeline``'s ``take``), in
+    any order, none at one of ``positions``.  The keywords are
+    ``reduce_window``'s.
+
+    Each position pushes where its flag byte differs from the key's skip
+    byte, 0 for eventually and 1 for globally, xored with ``flip``; a
+    marker pushes nothing.  Every position and marker emits, so each one
+    evicts, counts toward the peak, compacts and answers as an instant of
+    ``reduce_window`` does, and the outputs and the peak are those of
+    ``reduce_window`` over the operand's records at ``positions`` (as
+    ``atom_records`` builds them) plus ``markers``, sorted by
+    ``shuffle_sort``: one operand's stream has no duplicate to check and
+    no cut to apply, so only the buffer's step is left per instant.
+    """
+    lo, up = closed_bounds(interval)
+    if up is None:
+        up = 1 << 64  # exceeded by no distance between instants
+    push = (0 if universal else 1) ^ flip  # the flag byte that pushes: not the skip byte
+    out_bits = out_key << 3
+    if state is None:
+        state = WindowState()
+    win, head, peak = state.win, state.head, state.peak
+    end = len(win)
+    head_val = win[head] if head < end else 0  # win[head] while the buffer is not empty
+    outputs: list[int] = []
+    # (instant, code) descending: a position's code is its flag byte, a
+    # marker's its flag bits, SANCTIONED_FLAG or POSITION_MARKER
+    if markers:
+        events = [*zip(positions, flags), *[(m >> TAU_SHIFT, m & 7) for m in markers]]
+        events.sort(reverse=True)
+        top = events[0][0]
+    else:
+        events = zip(reversed(positions), reversed(flags))
+        top = positions[-1] if positions else -1
+    # the next instant to answer, as in reduce_window
+    want = reach
+    if answers is not None:
+        at = bisect_left(answers, -top, key=neg)
+        want = answers[at] if at < len(answers) else -1
+    for tau, code in events:
+        if code == push:
+            win.append(tau)
+            if head == end:  # the buffer was empty: the new entry is its head
+                head_val = tau
+            end += 1
+        limit = tau + up
+        while head < end and head_val > limit:  # past the upper edge for good
+            head += 1
+            if head < end:
+                head_val = win[head]
+        if end - head > peak:
+            peak = end - head
+        if head > COMPACT_AFTER and head > (end - head) >> 3:
+            del win[:head]
+            end -= head
+            head = 0
+        if tau <= want:
+            if answers is not None:
+                while want > tau:  # move the cursor down to tau
+                    at += 1
+                    want = answers[at] if at < len(answers) else -1
+            if want == tau or answers is None:
+                val = (head_val - tau >= lo) != universal if head < end else universal
+                pos_out = 0 if code == SANCTIONED_FLAG else POSITION_FLAG
+                outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
     state.head, state.peak = head, peak
     return outputs, peak
 
@@ -798,7 +897,8 @@ class PipelineResult:
 # Reducer kinds, by node class: the joins first, in the order of JOIN_OPS.
 JOIN_OPS = ("not", "and", "or")
 KIND_OF = {Not: 0, And: 1, Or: 2, Eventually: 3, Globally: 4, ExactStep: 5, Until: 6}
-EXACT, GLOBALLY, UNTIL = KIND_OF[ExactStep], KIND_OF[Globally], KIND_OF[Until]
+EVENTUALLY, GLOBALLY = KIND_OF[Eventually], KIND_OF[Globally]
+EXACT, UNTIL = KIND_OF[ExactStep], KIND_OF[Until]
 READ = len(KIND_OF)  # the kind of an atom, which the read step builds
 COMPOSITE_OPERANDS = (None, None)  # the unset values of a join over no read step key
 
@@ -813,6 +913,7 @@ class KeyReducers:
     table: FormulaTable
     kinds: bytes  # each key's reducer kind (see KIND_OF)
     unset: dict[int, tuple[Optional[int], ...]]  # joins over read step keys: operand_unset
+    columns: dict[int, tuple[str, int]]  # column-fed keys: their operand's atom name and flip
     reach: Sequence[int]  # each key's reach (see compute_windows)
     answers: dict[int, list[int]]  # window keys with answer instants (see compute_windows)
     states: defaultdict[int, WindowState] = field(default_factory=lambda: defaultdict(WindowState))
@@ -824,19 +925,29 @@ def key_reducers(
     reach: Sequence[int],
     answers: dict[int, list[int]],
 ) -> KeyReducers:
-    """A run's ``KeyReducers``: the kind of every key, and the unset values
-    of the joins over its read step keys ``leaves`` (see ``leaf_keys``)."""
+    """A run's ``KeyReducers``: the kind of every key, and over its read
+    step keys ``leaves`` (see ``leaf_keys``) the unset values of the joins
+    and the *column-fed* keys, every eventually and globally key over one
+    (see ``reduce_column``)."""
     kinds = bytes([READ] + [KIND_OF.get(type(node), READ) for node in table.nodes])
     flips = {key_id: flip for key_id, _, flip in leaves}
     unset = {}
-    for key_id in flips:
+    columns = {}
+    for key_id, name, flip in leaves:
         for parent in table.parent_ids[key_id]:
             if kinds[parent] < len(JOIN_OPS):
                 unset[parent] = tuple([flips.get(kid) for kid in table.child_ids[parent]])
-    return KeyReducers(table, kinds, unset, reach, answers)
+            elif kinds[parent] in (EVENTUALLY, GLOBALLY):
+                columns[parent] = name, flip
+    return KeyReducers(table, kinds, unset, columns, reach, answers)
 
 
-def reduce_node(keys: KeyReducers, node_id: int, records: list[int]) -> tuple[list[int], int]:
+def reduce_node(
+    keys: KeyReducers,
+    node_id: int,
+    records: list[int],
+    column: Optional[tuple[Sequence[int], Sequence[int]]] = None,
+) -> tuple[list[int], int]:
     """Reduce one block of a key's records, sorted by ``shuffle_sort``, with
     the reducer of the key's kind, for a key the read step does not build;
     it returns the block's outputs and the key's peak buffer so far.
@@ -844,12 +955,21 @@ def reduce_node(keys: KeyReducers, node_id: int, records: list[int]) -> tuple[li
     between them in ``keys.states``, which makes it at the key's first
     block.  A window key answers no instant past its reach, the last
     instant it is read at, and with answer instants only those; a boolean
-    key's inputs and markers are already cut there.  The reducers are
-    looked up by name at each call, so a wrapper put on the module sees
-    them."""
+    key's inputs and markers are already cut there.  With ``column``, the
+    block's positions a column-fed key (see ``key_reducers``) reads its
+    operand at and its atom's flags there, ``records`` are only the key's
+    markers, in any order, and ``reduce_column`` reduces them.  The
+    reducers are looked up by name at each call, so a wrapper put on the
+    module sees them."""
     kind = keys.kinds[node_id]
     kids = keys.table.child_ids[node_id]
     node = keys.table.node(node_id)
+    if column is not None:
+        return reduce_column(
+            *column, records, keys.columns[node_id][1], node.interval, node_id,
+            universal=kind == GLOBALLY, state=keys.states[node_id],
+            reach=keys.reach[node_id], answers=keys.answers.get(node_id),
+        )
     if kind < len(JOIN_OPS):
         unset = keys.unset.get(node_id, COMPOSITE_OPERANDS)
         return reduce_join(records, kids, unset, JOIN_OPS[kind], node_id, node)
@@ -975,6 +1095,12 @@ def run_pipeline(
     horizon = last - anchor_instant if gapped else max(first - 1 - anchor_instant, 0)
     offsets = compute_offsets(table, horizon)
     keys = key_reducers(table, leaves, reach, answers)
+    # each read step key's parents that take its records: all but the
+    # column-fed ones, which read its column; the read step builds records
+    # only for the keys that have such a parent
+    takers = {key_id: [p for p in table.parent_ids[key_id] if p not in keys.columns]
+              for key_id, _, _ in leaves}
+    routed = [leaf for leaf in leaves if takers[leaf[0]]]
     # every parent is strictly taller than its children, so in this order
     # (by height, then id: the sort is stable) each key's block inbox is
     # complete when taken
@@ -1001,10 +1127,10 @@ def run_pipeline(
     # Records move between keys only through these helpers, so no local
     # name keeps a consumed inbox or a routed output alive while the next
     # key is reduced.
-    def route(key_id: int, records: list[int]) -> None:
-        """Hand a key's block records, timestamps descending, to each parent,
-        cut to the instants that parent reads this operand at."""
-        for parent_id in table.parent_ids[key_id]:
+    def route(key_id: int, records: list[int], parents: Iterable[int]) -> None:
+        """Hand a key's block records, timestamps descending, to each of
+        ``parents``, cut to the instants that parent reads this operand at."""
+        for parent_id in parents:
             top = (reads[parent_id] + 1) << TAU_SHIFT  # above every record it reads
             starts = left_from if table.child_ids[parent_id][0] == key_id else right_from
             bottom = starts[parent_id] << TAU_SHIFT  # at or below every record it reads
@@ -1017,11 +1143,11 @@ def run_pipeline(
     def read(start: int, stop: int) -> None:
         """Route the read step's records of the elements ``start:stop``,
         each key's only from its floor up to its reach."""
-        per_key = atom_records(word, leaves, start, stop, (floor, reach))
+        per_key = atom_records(word, routed, start, stop, (floor, reach))
         while per_key:
             key_id, records = per_key.popitem()
             records.reverse()  # descending, as every key's outputs are
-            route(key_id, records)
+            route(key_id, records, takers[key_id])
 
     def take(key_id: int, start: int, stop: int) -> tuple[list[int], int]:
         """A key's block inbox plus its markers in the block: its sanctioned
@@ -1054,17 +1180,28 @@ def run_pipeline(
     def reduce_key(kid: int, row: ReducerStats, start: int, stop: int) -> None:
         nonlocal root_outputs
         records, markers = take(kid, start, stop)
-        if not records:  # nothing at this key's instants in the block
+        count = len(records)
+        column = None
+        fed = keys.columns.get(kid)
+        if fed is not None:  # the block's positions it reads its operand at
+            i = bisect_left(positions, right_from[kid], start, stop)
+            j = bisect_right(positions, reads[kid], i, stop)
+            column = positions[i:j], word.column(fed[0])[i:j]
+            count += j - i
+        if not count:  # nothing at this key's instants in the block
             return
-        row.records_in += len(records)
+        row.records_in += count
         row.markers += markers
         began = time.perf_counter()
-        outputs, peak = reduce_node(keys, kid, shuffle_sort(records))
+        if column is None:
+            outputs, peak = reduce_node(keys, kid, shuffle_sort(records))
+        else:
+            outputs, peak = reduce_node(keys, kid, records, column)
         row.iteration_ms += (time.perf_counter() - began) * 1000.0
-        del records  # the consumed inbox, dropped before the outputs are routed
+        del records, column  # the consumed inbox, dropped before the outputs are routed
         row.peak_win = max(row.peak_win, peak)
         row.records_out += len(outputs)
-        route(kid, outputs)
+        route(kid, outputs, table.parent_ids[kid])
         if streams is not None:
             streams.setdefault(kid, []).extend(outputs)
         if kid == root_id and not start:  # the anchor lies in the first block

@@ -219,6 +219,42 @@ class TestCheck:
             "F[3,4] p", "F[0,3] p", "F=4 (F[0,3] p)", "F[3,4] p | F=4 (F[0,3] p)",
         ]
 
+    # p fails at every seventh instant of 1..4100
+    UNIT_P_TRACE = "".join(f"{t}{' p' if t % 7 else ''}\n" for t in range(1, 4101))
+    # 40 elements, with gaps of 1 and 4
+    GAPPED_TRACE = "".join(f"{3 * i + i % 3 + 1} {['p', 'q', 'p q', 'r'][i % 4]}\n"
+                           for i in range(40))
+    LAZY_K3 = ["-f", "F[2,14] p | G[0,12] q", "--semantics", "lazy", "--k", "3"]
+
+    @pytest.mark.parametrize("trace,argv_tail,verdict,rows,totals", [
+        # a position marker at the anchor, below the operand's first read
+        # instant, 2,001; !p is a literal, read off p's column inverted
+        (UNIT_P_TRACE, ["-f", "F[2000,4000] p"], "true",
+         {"F[2000,4000] p": (1715, 2002, 0, 1)}, (2002, 0, 1)),
+        (UNIT_P_TRACE, ["-f", "G[2000,4000] !p"], "false",
+         {"G[2000,4000] (!p)": (1715, 2002, 0, 1)}, (2002, 0, 1)),
+        # the hop heads take sanctioned markers at the gaps, and at the zero
+        # anchor also at the instants before the first element
+        (GAPPED_TRACE, LAZY_K3, "true",
+         {"F[2,3] p": (0, 1, 0, 1), "F[0,3] p": (1, 6, 3, 3), "F[0,2] p": (1, 2, 1, 1),
+          "F[0,3] (!q)": (1, 7, 3, 4)}, (51, 15, 25)),
+        (GAPPED_TRACE, LAZY_K3 + ["--anchor", "zero"], "true",
+         {"F[2,3] p": (0, 1, 1, 1), "F[0,3] p": (1, 8, 5, 3), "F[0,2] p": (1, 2, 1, 1),
+          "F[0,3] (!q)": (1, 10, 6, 4)}, (60, 27, 25)),
+    ], ids=["position-markers", "literal", "lazy-first", "lazy-zero"])
+    def test_stats_rows_of_column_fed_keys(self, capsys, tmp_path, trace, argv_tail, verdict,
+                                           rows, totals):
+        # the eventually and globally keys over an atom or a literal, read
+        # off its column: (peak_win, records_in, markers, records_out)
+        path = tmp_path / "trace.txt"
+        path.write_text(trace, encoding="utf-8")
+        _, (payload, last) = _check_output(["check", str(path), "--stats"] + argv_tail, capsys)
+        assert last == f"VERDICT: {verdict}"
+        counts = ("peak_win", "records_in", "markers", "records_out")
+        got = {row["reducer_key"]: tuple(row[c] for c in counts) for row in payload["reducers"]}
+        assert {key: got.get(key) for key in rows} == rows
+        assert tuple(sum(row[c] for row in payload["reducers"]) for c in counts[1:]) == totals
+
     @pytest.mark.parametrize("argv_tail", [
         ["-f", "p"],  # no reducer rows
         ["-f", "F[1,2] p"],

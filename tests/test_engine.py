@@ -26,6 +26,7 @@ from mtlcheck.engine import (
     pack_record,
     record_tau,
     record_truth,
+    reduce_column,
     reduce_join,
     reduce_node,
     reduce_window,
@@ -524,6 +525,81 @@ class TestFusedReducers:
         ])
         got = _run_reducer(ENGINE, records, kind, Interval(0, 3), (True, True))
         assert got == "conflicting duplicate records for k at instant 5"
+
+
+class TestColumnLoop:
+    """``reduce_column`` reads an eventually or globally key's operand off
+    its atom's flag column; ``reduce_window`` over the operand's packed
+    records (as the read step builds them) plus the same markers, sorted by
+    ``shuffle_sort``, is its reference."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reduce_window_over_the_packed_records(self, data):
+        draw = data.draw
+        n = draw(st.integers(min_value=1, max_value=30), label="elements")
+        gaps = st.integers(min_value=1, max_value=4) if draw(st.booleans(), label="gapped") \
+            else st.just(1)
+        stamps = [draw(st.integers(min_value=1, max_value=4), label="first")]
+        for _ in range(n - 1):
+            stamps.append(stamps[-1] + draw(gaps))
+        flags = bytes(draw(st.lists(st.integers(min_value=0, max_value=1),
+                                    min_size=n, max_size=n), label="flags"))
+        w = ShownWord(stamps, {"p": bytearray(flags)})
+        iv = draw(intervals(max_bound=12, allow_unbounded=True) | st.just(Interval(0, 0)),
+                  label="interval")
+        universal = draw(st.booleans(), label="globally")
+        flip = draw(st.sampled_from([0, engine.TRUTH_FLAG]), label="literal flip")
+        # the positions the key reads its operand at, stamps[i:j], and the
+        # position markers below them, at stamps[low:i]
+        i = draw(st.integers(min_value=0, max_value=n), label="right_from index")
+        j = draw(st.integers(min_value=i, max_value=n), label="reads index")
+        low = draw(st.integers(min_value=0, max_value=i), label="floor index")
+        holes = sorted(set(range(stamps[-1] + 1)) - set(stamps))  # gaps and instants before the first
+        sanctioned = draw(st.lists(st.sampled_from(holes), unique=True), label="sanctioned") \
+            if holes else []
+        markers = [(t << engine.TAU_SHIFT) | engine.SANCTIONED_FLAG for t in sanctioned]
+        markers += [(t << engine.TAU_SHIFT) | engine.POSITION_MARKER for t in stamps[low:i]]
+        reach = draw(st.integers(min_value=0, max_value=stamps[-1] + 1) | st.just(engine.END),
+                     label="reach")
+        keywords = dict(universal=universal, reach=reach)
+        if draw(st.booleans(), label="with answer instants"):
+            answers = draw(st.lists(st.integers(min_value=0, max_value=stamps[-1] + 1),
+                                    unique=True), label="answers")
+            keywords["answers"] = sorted([t for t in answers if t <= reach], reverse=True)
+
+        leaf = [(LEFT, "p", flip)]
+        records = atom_records(w, leaf, i, j).get(LEFT, []) + markers
+        want = reduce_window(shuffle_sort(records), LEFT, iv, KEY, **keywords)
+
+        # the runner's blocks: elements [start, stop), the last block first,
+        # each with its instants after the previous element's timestamp
+        cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1)), label="cuts")
+                      if n > 1 else set())
+        bounds = list(zip([0] + cuts, cuts + [n]))[::-1]
+        state = WindowState()
+        outputs, peak = [], 0
+        for start, stop in bounds:
+            after = stamps[start - 1] if start else -1
+            mine = [m for m in markers if after < m >> engine.TAU_SHIFT <= stamps[stop - 1]]
+            mine = draw(st.permutations(mine), label="marker order")
+            a, b = max(i, start), min(j, stop)
+            got, peak = reduce_column(stamps[a:b], flags[a:b], mine, flip, iv, KEY,
+                                      state=state, **keywords)
+            outputs += got
+        assert (outputs, peak) == want
+
+    @pytest.mark.parametrize("universal", [False, True])
+    def test_a_marker_evicts_past_the_upper_edge(self, universal):
+        # F[0,2] p pushes a witness at 10 (G[0,2] p a violation); the
+        # sanctioned marker at 7 must evict it before it answers
+        flags = b"\x01\x00" if not universal else b"\x00\x01"
+        markers = [(7 << engine.TAU_SHIFT) | engine.SANCTIONED_FLAG]
+        outputs, peak = reduce_column([10, 11], flags, markers, 0, Interval(0, 2), KEY,
+                                      universal=universal)
+        assert [(record_tau(r), record_truth(r) != universal) for r in outputs] == [
+            (11, False), (10, True), (7, False)]
+        assert peak == 1
 
 
 class TestWindowState:
@@ -1027,37 +1103,46 @@ class TestReach:
             res = run_pipeline(w, f, **kwargs)
         assert (_shown(res), res.stats.elements_reduced) == want
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_outputs_lie_in_the_window_and_match_the_full_streams(self, data):
+    def test_outputs_lie_in_the_window_and_match_the_full_streams(self):
         # every reduced key's outputs are the full run's records there, and
-        # a key with answer instants answers only where some reader reads it
-        f, w, kwargs, _ = _reach_case(data)
-        outputs = defaultdict(list)
-        reduce_node = engine.reduce_node
+        # a key with answer instants answers only where some reader reads it;
+        # the spy sees the column-fed keys too, and the cases draw some
+        column_fed = set()
 
-        def spy(keys, node_id, records):
-            got = reduce_node(keys, node_id, records)
-            outputs[node_id] += got[0]
-            return got
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            f, w, kwargs, _ = _reach_case(data)
+            outputs = defaultdict(list)
+            reduce_node = engine.reduce_node
 
-        with mock.patch.object(engine, "reduce_node", spy):
-            res = run_pipeline(w, f, **kwargs)
-        full = run_pipeline(w, f, collect_streams=True, **kwargs)
-        assert full.table.id_of == res.table.id_of
-        anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
-        literals = {key for key, _, flip in leaf_keys(res.table, literals=True) if flip}
-        assert not literals & set(outputs)  # read, not reduced
-        floor, reach, _, _, _, answers = compute_windows(
-            res.table, anchor, w.timestamps, literals)
-        read = read_at(res.table, w.timestamps, anchor)
-        for kid, records in outputs.items():
-            at = {record_tau(r): r for r in full.streams[kid]}
-            for r in records:
-                assert floor[kid] <= record_tau(r) <= reach[kid], (kid, r)
-                assert at.get(record_tau(r)) == r, (kid, r)
-            if kid in answers:
-                assert {record_tau(r) for r in records} <= read[kid], kid
+            def spy(keys, node_id, records, column=None):
+                got = reduce_node(keys, node_id, records, column)
+                outputs[node_id] += got[0]
+                if column is not None:
+                    column_fed.add(to_text(keys.table.node(node_id)))
+                return got
+
+            with mock.patch.object(engine, "reduce_node", spy):
+                res = run_pipeline(w, f, **kwargs)
+            full = run_pipeline(w, f, collect_streams=True, **kwargs)
+            assert full.table.id_of == res.table.id_of
+            anchor = 0 if kwargs.get("anchor") == ANCHOR_ZERO else w.timestamps[0]
+            literals = {key for key, _, flip in leaf_keys(res.table, literals=True) if flip}
+            assert not literals & set(outputs)  # read, not reduced
+            floor, reach, _, _, _, answers = compute_windows(
+                res.table, anchor, w.timestamps, literals)
+            read = read_at(res.table, w.timestamps, anchor)
+            for kid, records in outputs.items():
+                at = {record_tau(r): r for r in full.streams[kid]}
+                for r in records:
+                    assert floor[kid] <= record_tau(r) <= reach[kid], (kid, r)
+                    assert at.get(record_tau(r)) == r, (kid, r)
+                if kid in answers:
+                    assert {record_tau(r) for r in records} <= read[kid], kid
+
+        check()
+        assert column_fed
 
     @pytest.mark.parametrize("text", ["F[0,4] p | F[2,6] p", "F[0,4] r | F[2,6] r"])
     @pytest.mark.parametrize("anchor", [ANCHOR_FIRST, ANCHOR_ZERO])
