@@ -21,13 +21,17 @@ with flag bits 1 = truth, 2 = position record, 4 = sanctioned marker.
 Child id 0 is reserved for markers, which carry no operand value; formula
 node ids start at 1.  A record's key is implicit in the per-key list holding it.
 
-There are two record reducers: ``reduce_window`` for eventually, globally,
-exact-step and until keys, and ``reduce_join`` for boolean keys.  Each
-takes its key's raw stream sorted by ``shuffle_sort`` and, in a single
-pass, groups it by instant and deduplicates while it reduces.  Column-fed
-keys have a third loop, ``reduce_column``, which walks a block's positions
-and the operand's flag bytes with the markers merged in, and gives what
-``reduce_window`` gives over the same operand's records.
+Each step of the reducers is written once.  ``reduce_window`` (eventually,
+globally, exact-step and until keys) and ``reduce_join`` (boolean keys)
+take their key's raw stream sorted by ``shuffle_sort``, and one grouper
+walks it an instant at a time, deduplicating as it goes.  ``reduce_join``
+folds each instant's operand values.  ``reduce_window`` turns each instant
+into a code (whether it pushes, answers, answers as a position and cuts)
+for the window loop, and ``reduce_column``, for column-fed keys, turns the
+block's flag bytes into the same codes, merges its markers in and runs the
+same loop, so it gives what ``reduce_window`` gives over the same
+operand's records.  Both stream their instants: no per-instant list is
+built.
 
 - An instant emits output iff it holds a position record or a sanctioned
   marker.  Unsanctioned markers are consumed but never answered, since the
@@ -42,10 +46,10 @@ and the operand's flag bytes with the markers merged in, and gives what
   read through (``transforms.operands``), so no guard is a key.
 
 Window buffers answer each instant in amortized O(1) with one cursor: at
-every instant that pushes or answers, the buffer's head evicts the entries
-beyond the interval's upper edge, which never come back in range as
-instants decrease, and the head left is the answer (the monotone-window
-idea of Lemire's streaming min/max filter).
+every instant, the buffer's head evicts the entries beyond the interval's
+upper edge, which never come back in range as instants decrease, and the
+head left is the answer (the monotone-window idea of Lemire's streaming
+min/max filter).
 
 The runner walks the trace backward in blocks of ``BLOCK`` elements, the
 last block first.  A block's instants are those after the previous
@@ -185,7 +189,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from operator import neg
-from typing import Container, Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .formula import (
     Act,
@@ -482,6 +486,15 @@ REAL_MASK = CHILD_MASK << 3  # nonzero exactly for real (non-marker) records
 # larger of COMPACT_AFTER and an eighth of them, and each compaction's copy
 # is paid for by the evictions since the last one.
 COMPACT_AFTER = 32
+# An instant's code in the window loop: its answer bits, as a marker's flags
+# (SANCTIONED_FLAG to answer, plus POSITION_FLAG to answer as a position),
+# plus PUSH to buffer the instant and CUT to apply until's cut once answered.
+# Only an answered instant cuts, so a code answers iff it is at least
+# SANCTIONED_FLAG and cuts iff it is at least CUT: comparisons, which cost
+# less per instant than masks.
+PUSH, CUT = 1, 8
+# reduce_column's codes for an atom's flag bytes, indexed by the byte that pushes
+COLUMN_CODES = (bytes.maketrans(b"\0\1", b"\7\6"), bytes.maketrans(b"\0\1", b"\6\7"))
 
 
 @dataclass(slots=True)
@@ -500,6 +513,124 @@ class WindowState:
 
 def _conflict(key, tau: int) -> EngineError:
     return EngineError(f"conflicting duplicate records for {key} at instant {tau}")
+
+
+def _instants(
+    records: Sequence[int],
+    operand_ids: Sequence[int],
+    unset: Sequence[Optional[int]],
+    key: object,
+) -> Iterator[tuple[int, int, Optional[int], Optional[int]]]:
+    """Walk one block of a key's records, sorted by ``shuffle_sort``, an
+    instant at a time, yielding ``(tau, answer, first, last)``.  ``answer``
+    is 0 where the instant is not answered, and else ``SANCTIONED_FLAG``,
+    plus ``POSITION_FLAG`` where a position record or a position marker
+    makes it a position.  ``first`` and ``last`` are the truth and position
+    bits of the first and the last of ``operand_ids``' records there, or
+    that operand's ``unset`` where it has none.  Real records of one child
+    at one instant are adjacent: a repeat that agrees is skipped, one that
+    disagrees raises ``EngineError`` (``key`` names the key; it is
+    formatted only then), and unsanctioned markers are consumed."""
+    first_bits, last_bits = operand_ids[0] << 3, operand_ids[-1] << 3
+    i, n = 0, len(records)
+    while i < n:
+        r = records[i]
+        tau = r >> TAU_SHIFT
+        answer, first, last = 0, unset[0], unset[-1]
+        prev = 0
+        while True:
+            if r & REAL_MASK:
+                dup = r ^ prev
+                if dup < 8:  # same instant and child as the previous record
+                    if dup & TRUTH_FLAG:
+                        raise _conflict(key, tau)
+                else:
+                    prev = r
+                    if r & POSITION_FLAG:
+                        answer = POSITION_MARKER
+                    child = r & REAL_MASK
+                    if child == first_bits:
+                        first = r & 3
+                    if child == last_bits:
+                        last = r & 3
+            elif r & SANCTIONED_FLAG:
+                answer |= r & POSITION_MARKER
+            i += 1
+            if i >= n:
+                break
+            r = records[i]
+            if (r >> TAU_SHIFT) != tau:
+                break
+        yield tau, answer, first, last
+
+
+def _slide(
+    events: Iterable[tuple[int, int]],
+    top: int,
+    interval,
+    out_key: int,
+    universal: bool,
+    state: Optional[WindowState],
+    reach: int,
+    answers: Optional[Sequence[int]],
+) -> tuple[list[int], int]:
+    """The window loop of ``reduce_window`` and ``reduce_column``: their
+    outputs and peak over one block's ``(instant, code)`` events (see
+    ``PUSH``), descending from ``top``."""
+    lo, up = closed_bounds(interval)
+    if up is None:
+        up = 1 << 64  # exceeded by no distance between instants
+    if state is None:
+        state = WindowState()
+    win, head, peak = state.win, state.head, state.peak
+    end = len(win)
+    head_val = win[head] if head < end else 0  # win[head] while the buffer is not empty
+    out_bits = out_key << 3
+    outputs: list[int] = []
+    # the next instant to answer: the reach, or the first answer instant
+    # at or below the block's first instant (-1 when none is left)
+    want = reach
+    if answers is not None:
+        at = bisect_left(answers, -top, key=neg)
+        want = answers[at] if at < len(answers) else -1
+    for tau, code in events:
+        if code & PUSH:
+            win.append(tau)
+            if head == end:  # the buffer was empty: the new entry is its head
+                head_val = tau
+            end += 1
+        limit = tau + up
+        while head < end and head_val > limit:  # past the upper edge for good
+            head += 1
+            if head < end:
+                head_val = win[head]
+        if end - head > peak:
+            peak = end - head
+        if head > COMPACT_AFTER and head > (end - head) >> 3:
+            del win[:head]
+            end -= head
+            head = 0
+        if tau <= want and code >= SANCTIONED_FLAG:
+            if answers is not None:
+                while want > tau:  # move the cursor down to tau
+                    at += 1
+                    want = answers[at] if at < len(answers) else -1
+            if want == tau or answers is None:
+                # the head is the latest entry in range, so the window
+                # holds an entry iff the head clears the lower edge
+                val = (head_val - tau >= lo) != universal if head < end else universal
+                outputs.append(
+                    (tau << TAU_SHIFT) | out_bits | (code & POSITION_FLAG) | (TRUTH_FLAG if val else 0)
+                )
+        if code >= CUT:
+            # a failing left operand at this position cuts continuity for
+            # every earlier instant toward witnesses strictly beyond it
+            while head < end and head_val > tau:
+                head += 1
+                if head < end:
+                    head_val = win[head]
+    state.head, state.peak = head, peak
+    return outputs, peak
 
 
 def reduce_window(
@@ -531,9 +662,9 @@ def reduce_window(
     instant is answered, every buffered witness later than the instant.
 
     The buffer ``win[head:]`` holds instants in descending order.  At every
-    instant that pushes or answers, ``head`` evicts the entries beyond the
-    interval's upper edge, which never come back in range because instants
-    only decrease, and a cut evicts the ones it discards.  The head is then
+    instant, ``head`` evicts the entries beyond the interval's upper edge,
+    which never come back in range because instants only decrease, and a
+    cut evicts the ones it discards.  The head is then
     the latest entry in range, and the answer is whether it clears the
     lower edge (the universal value when the buffer is empty), so each
     instant is amortized O(1).  Reading an entry of the array makes an int
@@ -562,113 +693,26 @@ def reduce_window(
     answered, found with a cursor that moves down them as the instants
     decrease; every other instant is processed as one past the reach.
 
-    Boolean keys keep their own loop in ``reduce_join``: folding the join
-    in as well (operand values per instant instead of a buffer) measured
-    17% slower on the decomposed benchmark workload and 20% slower on the
-    sparse nested one.  Column-fed keys (an eventually or globally key
-    over an atom or a literal) have theirs in ``reduce_column``: their
-    operand's stream is one record per position, with no duplicate and no
-    cut, so packing it, sorting it and grouping it by instant here cost
-    about three times the buffer's own work.
+    The records are grouped by instant as ``reduce_join``'s are, and each
+    instant becomes a code for the window loop that ``reduce_column``
+    shares.
     """
-    lo, up = closed_bounds(interval)
-    sel_mask = REAL_MASK | TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
-    sel_want = (child_id << 3) | (0 if universal else TRUTH_FLAG) | (
-        0 if admit_any else POSITION_FLAG
-    )
-    # compared with the record under sel_mask, which keeps the position and
-    # truth bits when admit_any is false, as it is for until; -1 matches none
-    cut_want = -1 if cut_id is None else (cut_id << 3) | POSITION_FLAG
-    out_bits = out_key << 3
-    if up is None:
-        up = 1 << 64  # exceeded by no distance between instants
-    if state is None:
-        state = WindowState()
-    win, head, peak = state.win, state.head, state.peak
-    end = len(win)
-    head_val = win[head] if head < end else 0  # win[head] while the buffer is not empty
-    outputs: list[int] = []
-    i = 0
-    n = len(records)
-    # the next instant to answer: the reach, or the first answer instant
-    # at or below the block's first instant (-1 when none is left)
-    want = reach
-    if answers is not None:
-        at = bisect_left(answers, -(records[0] >> TAU_SHIFT), key=neg) if n else 0
-        want = answers[at] if at < len(answers) else -1
-    while i < n:
-        r = records[i]
-        tau = r >> TAU_SHIFT
-        emit = False
-        pos_out = 0
-        cut = False
-        prev = 0
-        while True:
-            if r & REAL_MASK:
-                dup = r ^ prev
-                if dup < 8:  # same instant and child as the previous record
-                    if dup & TRUTH_FLAG:
-                        raise _conflict(key, tau)
-                else:
-                    prev = r
-                    if r & POSITION_FLAG:
-                        emit = True
-                        pos_out = POSITION_FLAG
-                    selected = r & sel_mask
-                    if selected == sel_want:
-                        win.append(tau)
-                    elif selected == cut_want:
-                        cut = True
-            elif r & SANCTIONED_FLAG:
-                emit = True
-                pos_out |= r & POSITION_FLAG
-            i += 1
-            if i >= n:
-                break
-            r = records[i]
-            if (r >> TAU_SHIFT) != tau:
-                break
-        if len(win) != end:  # a new entry, at tau
-            if head == end:  # the buffer was empty: the new entry is its head
-                head_val = tau
-            end = len(win)
-        elif not emit:  # nothing to push or answer (a cut comes with a position record)
-            continue
-        limit = tau + up
-        while head < end and head_val > limit:  # past the upper edge for good
-            head += 1
-            if head < end:
-                head_val = win[head]
-        if end - head > peak:
-            peak = end - head
-        if head > COMPACT_AFTER and head > (end - head) >> 3:
-            del win[:head]
-            end -= head
-            head = 0
-        if emit and tau <= want:
-            if answers is not None:
-                while want > tau:  # move the cursor down to tau
-                    at += 1
-                    want = answers[at] if at < len(answers) else -1
-            if want == tau or answers is None:
-                # the head is the latest entry in range, so the window
-                # holds an entry iff the head clears the lower edge
-                val = (head_val - tau >= lo) != universal if head < end else universal
-                outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
-        if cut:
-            # a failing left operand at this position cuts continuity for
-            # every earlier instant toward witnesses strictly beyond it
-            while head < end and head_val > tau:
-                head += 1
-                if head < end:
-                    head_val = win[head]
-    state.head, state.peak = head, peak
-    return outputs, peak
+    # an operand record pushes when its truth is the sought one and, unless
+    # admit_any, it lies at a position; an absent one reads 0 and pushes
+    # nothing; a false left operand at a position cuts
+    sel = TRUTH_FLAG | (0 if admit_any else POSITION_FLAG)
+    want = (0 if universal else TRUTH_FLAG) | (sel & POSITION_FLAG)
+    cut = -1 if cut_id is None else POSITION_FLAG
+    instants = _instants(records, (child_id if cut_id is None else cut_id, child_id), (0, 0), key)
+    events = ((tau, answer | (PUSH if last & sel == want else 0) | (CUT if first == cut else 0))
+              for tau, answer, first, last in instants)
+    top = records[0] >> TAU_SHIFT if records else -1
+    return _slide(events, top, interval, out_key, universal, state, reach, answers)
 
 
 def reduce_column(
     positions: Sequence[int],
-    flags: Sequence[int],
+    flags: bytes,
     markers: Sequence[int],
     flip: int,
     interval,
@@ -690,69 +734,25 @@ def reduce_column(
     any order, none at one of ``positions``.  The keywords are
     ``reduce_window``'s.
 
-    Each position pushes where its flag byte differs from the key's skip
-    byte, 0 for eventually and 1 for globally, xored with ``flip``; a
-    marker pushes nothing.  Every position and marker emits, so each one
-    evicts, counts toward the peak, compacts and answers as an instant of
-    ``reduce_window`` does, and the outputs and the peak are those of
-    ``reduce_window`` over the operand's records at ``positions`` (as
+    Each position answers as a position and pushes where its flag byte
+    differs from the key's skip byte, 0 for eventually and 1 for globally,
+    xored with ``flip``; a marker answers as its flags say and pushes
+    nothing.  These codes, with the markers merged in, run through
+    ``reduce_window``'s window loop, so the outputs and the peak are those
+    of ``reduce_window`` over the operand's records at ``positions`` (as
     ``atom_records`` builds them) plus ``markers``, sorted by
     ``shuffle_sort``: one operand's stream has no duplicate to check and
-    no cut to apply, so only the buffer's step is left per instant.
+    no cut to apply, so it needs no grouping by instant.
     """
-    lo, up = closed_bounds(interval)
-    if up is None:
-        up = 1 << 64  # exceeded by no distance between instants
-    push = (0 if universal else 1) ^ flip  # the flag byte that pushes: not the skip byte
-    out_bits = out_key << 3
-    if state is None:
-        state = WindowState()
-    win, head, peak = state.win, state.head, state.peak
-    end = len(win)
-    head_val = win[head] if head < end else 0  # win[head] while the buffer is not empty
-    outputs: list[int] = []
-    # (instant, code) descending: a position's code is its flag byte, a
-    # marker's its flag bits, SANCTIONED_FLAG or POSITION_MARKER
+    codes = flags.translate(COLUMN_CODES[(0 if universal else 1) ^ flip])
     if markers:
-        events = [*zip(positions, flags), *[(m >> TAU_SHIFT, m & 7) for m in markers]]
+        events = [*zip(positions, codes), *[(m >> TAU_SHIFT, m & 7) for m in markers]]
         events.sort(reverse=True)
         top = events[0][0]
     else:
-        events = zip(reversed(positions), reversed(flags))
+        events = zip(reversed(positions), reversed(codes))
         top = positions[-1] if positions else -1
-    # the next instant to answer, as in reduce_window
-    want = reach
-    if answers is not None:
-        at = bisect_left(answers, -top, key=neg)
-        want = answers[at] if at < len(answers) else -1
-    for tau, code in events:
-        if code == push:
-            win.append(tau)
-            if head == end:  # the buffer was empty: the new entry is its head
-                head_val = tau
-            end += 1
-        limit = tau + up
-        while head < end and head_val > limit:  # past the upper edge for good
-            head += 1
-            if head < end:
-                head_val = win[head]
-        if end - head > peak:
-            peak = end - head
-        if head > COMPACT_AFTER and head > (end - head) >> 3:
-            del win[:head]
-            end -= head
-            head = 0
-        if tau <= want:
-            if answers is not None:
-                while want > tau:  # move the cursor down to tau
-                    at += 1
-                    want = answers[at] if at < len(answers) else -1
-            if want == tau or answers is None:
-                val = (head_val - tau >= lo) != universal if head < end else universal
-                pos_out = 0 if code == SANCTIONED_FLAG else POSITION_FLAG
-                outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
-    state.head, state.peak = head, peak
-    return outputs, peak
+    return _slide(events, top, interval, out_key, universal, state, reach, answers)
 
 
 def reduce_join(
@@ -774,61 +774,22 @@ def reduce_join(
     trigger are skipped silently — shared operands may legitimately stream
     values at a superset of instants.  A negation's single operand fills
     both operand slots.  ``key`` names the key in errors, as for
-    ``reduce_window``.
+    ``reduce_window``, whose grouping by instant this shares.
     """
-    left_bits = operand_ids[0] << 3
-    right_bits = operand_ids[-1] << 3
-    left_unset = operand_unset[0]
-    right_unset = operand_unset[-1]
-    negation = op == "not"
-    conjunction = op == "and"
     out_bits = out_key << 3
     outputs: list[int] = []
-    i = 0
-    n = len(records)
-    while i < n:
-        r = records[i]
-        tau = r >> TAU_SHIFT
-        emit = False
-        pos_out = 0
-        left = left_unset
-        right = right_unset
-        prev = 0
-        while True:
-            if r & REAL_MASK:
-                dup = r ^ prev
-                if dup < 8:  # same instant and child as the previous record
-                    if dup & TRUTH_FLAG:
-                        raise _conflict(key, tau)
-                else:
-                    prev = r
-                    if r & POSITION_FLAG:
-                        emit = True
-                        pos_out = POSITION_FLAG
-                    child_bits = r & REAL_MASK
-                    if child_bits == left_bits:
-                        left = r & TRUTH_FLAG
-                    if child_bits == right_bits:
-                        right = r & TRUTH_FLAG
-            elif r & SANCTIONED_FLAG:
-                emit = True
-            i += 1
-            if i >= n:
-                break
-            r = records[i]
-            if (r >> TAU_SHIFT) != tau:
-                break
-        if not emit:
+    for tau, answer, left, right in _instants(records, operand_ids, operand_unset, key):
+        if not answer:
             continue
         if left is None or right is None:
             raise EngineError(f"missing operand value for {key} at instant {tau}")
-        if negation:
-            val = not left
-        elif conjunction:
-            val = left and right
+        if op == "not":
+            val = ~left & TRUTH_FLAG
+        elif op == "and":
+            val = left & right & TRUTH_FLAG
         else:
-            val = left or right
-        outputs.append((tau << TAU_SHIFT) | out_bits | pos_out | (TRUTH_FLAG if val else 0))
+            val = (left | right) & TRUTH_FLAG
+        outputs.append((tau << TAU_SHIFT) | out_bits | (answer & POSITION_FLAG) | val)
     return outputs, 0
 
 

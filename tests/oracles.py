@@ -565,8 +565,10 @@ def naive_reduce_until(records, left_id, right_id, iv, out_key, *, key="?"):
     return outputs, peak
 
 
-def naive_reduce_join(records, operand_ids, operand_is_leaf, op, out_key, key="?"):
-    """(outputs, 0) of a boolean key, operand values looked up per instant."""
+def naive_reduce_join(records, operand_ids, operand_unset, op, out_key, key="?"):
+    """(outputs, 0) of a boolean key, operand values looked up per instant;
+    an operand with no record at an instant reads its ``operand_unset``
+    truth bit there, or is missing where that is None."""
     outputs: list[int] = []
     for tau, group in _instant_groups(records, key):
         emit, pos_out = _emission(group)
@@ -574,10 +576,10 @@ def naive_reduce_join(records, operand_ids, operand_is_leaf, op, out_key, key="?
             continue
         values = {child: truth for child, truth, _ in group if child != ACT_CHILD}
         resolved = []
-        for oid, leaf in zip(operand_ids, operand_is_leaf):
-            if oid not in values and not leaf:
+        for oid, unset in zip(operand_ids, operand_unset):
+            if oid not in values and unset is None:
                 raise EngineError(f"missing operand value for {key} at instant {tau}")
-            resolved.append(values.get(oid, False))
+            resolved.append(values.get(oid, bool(unset)))
         if op == "not":
             val = not resolved[0]
         elif op == "and":

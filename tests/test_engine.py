@@ -377,7 +377,7 @@ def _join(operands):
 
 
 # Reducer kind -> (engine, oracle), each as (reducer, positional args,
-# keyword args).  Joins take their leaf flags from the test.
+# keyword args).  Joins take their operands' unset truths from the test.
 REDUCER_KINDS = {
     "eventually": _window(admit_any=False, universal=False),
     "globally": _window(admit_any=False, universal=True),
@@ -390,18 +390,15 @@ REDUCER_KINDS = {
 }
 
 
-def _run_reducer(side, records, kind, iv, leafs, **extra):
+def _run_reducer(side, records, kind, iv, unset, **extra):
     """The engine's or the oracle's (outputs, peak) for a reducer kind, or
     the EngineError text it raised; ``extra`` goes to the reducer as
     keywords (a window key's carried ``state``)."""
     fn, args, kwargs = REDUCER_KINDS[kind][side]
     kwargs = {**kwargs, **extra}
     try:
-        if fn in (reduce_join, naive_reduce_join):
-            leafs = leafs[: len(args[0])]
-            if fn is reduce_join:  # a leaf operand reads false where it has no record
-                leafs = tuple([0 if leaf else None for leaf in leafs])
-            return fn(records, args[0], leafs, kind, KEY, "k")
+        if fn in (reduce_join, naive_reduce_join):  # each operand's unset truth (or None)
+            return fn(records, args[0], unset[: len(args[0])], kind, KEY, "k")
         return fn(records, *args, iv, KEY, key="k", **kwargs)
     except EngineError as exc:
         return str(exc)
@@ -453,7 +450,10 @@ class TestFusedReducers:
     def test_reducers_match_the_oracle_on_raw_streams(self, data):
         kind = data.draw(st.sampled_from(sorted(REDUCER_KINDS)))
         iv = data.draw(intervals(max_bound=12, allow_unbounded=True))
-        leafs = (data.draw(st.booleans()), data.draw(st.booleans()))
+        # what a join reads an operand as where it has none: a composite
+        # operand must have one (None), an atom reads false, a literal true
+        unsets = st.sampled_from([None, 0, engine.TRUTH_FLAG])
+        unset = (data.draw(unsets, label="left unset"), data.draw(unsets, label="right unset"))
         children = [LEFT] if kind in ("eventually", "globally", "exact-step", "not",
                                       "until-same") else [LEFT, RIGHT]
         records = data.draw(raw_streams(children))
@@ -470,8 +470,8 @@ class TestFusedReducers:
                 answers = data.draw(st.lists(st.integers(min_value=0, max_value=17), unique=True),
                                     label="answers")
                 extra["answers"] = sorted([t for t in answers if t <= reach], reverse=True)
-        got = _run_reducer(ENGINE, shuffle_sort(list(records)), kind, iv, leafs, **extra)
-        want = _run_reducer(ORACLE, records, kind, iv, leafs)
+        got = _run_reducer(ENGINE, shuffle_sort(list(records)), kind, iv, unset, **extra)
+        want = _run_reducer(ORACLE, records, kind, iv, unset)
         if window and not isinstance(want, str):
             answered = extra.get("answers")
             want = [r for r in want[0] if record_tau(r) <= reach
@@ -484,8 +484,8 @@ class TestFusedReducers:
             cut = data.draw(st.integers(min_value=0, max_value=17))
             split = sum(record_tau(r) >= cut for r in ordered)
             state = WindowState()
-            first = _run_reducer(ENGINE, ordered[:split], kind, iv, leafs, state=state, **extra)
-            second = _run_reducer(ENGINE, ordered[split:], kind, iv, leafs, state=state, **extra)
+            first = _run_reducer(ENGINE, ordered[:split], kind, iv, unset, state=state, **extra)
+            second = _run_reducer(ENGINE, ordered[split:], kind, iv, unset, state=state, **extra)
             if isinstance(want, str):
                 assert want in (first, second)
             else:
@@ -523,7 +523,7 @@ class TestFusedReducers:
             pack_record(5, child, True, True, False),
             pack_record(5, child, False, True, False),
         ])
-        got = _run_reducer(ENGINE, records, kind, Interval(0, 3), (True, True))
+        got = _run_reducer(ENGINE, records, kind, Interval(0, 3), (0, 0))
         assert got == "conflicting duplicate records for k at instant 5"
 
 
@@ -531,7 +531,8 @@ class TestColumnLoop:
     """``reduce_column`` reads an eventually or globally key's operand off
     its atom's flag column; ``reduce_window`` over the operand's packed
     records (as the read step builds them) plus the same markers, sorted by
-    ``shuffle_sort``, is its reference."""
+    ``shuffle_sort``, is its reference, and so is the window oracle, which
+    shares no code with the engine's window loop."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())
@@ -569,8 +570,18 @@ class TestColumnLoop:
             keywords["answers"] = sorted([t for t in answers if t <= reach], reverse=True)
 
         leaf = [(LEFT, "p", flip)]
-        records = atom_records(w, leaf, i, j).get(LEFT, []) + markers
+        operand = atom_records(w, leaf, i, j).get(LEFT, [])
+        records = operand + markers
         want = reduce_window(shuffle_sort(records), LEFT, iv, KEY, **keywords)
+        # the oracle answers a position marker as a record of another
+        # operand at that position, which pushes nothing
+        shown = operand + [pack_record(t, RIGHT, False, True, False) for t in stamps[low:i]]
+        shown += [m for m in markers if m & 7 == engine.SANCTIONED_FLAG]
+        naive, naive_peak = naive_reduce_window(shown, LEFT, iv, KEY, universal=universal)
+        answered = keywords.get("answers")
+        naive = [r for r in naive if record_tau(r) <= reach
+                 and (answered is None or record_tau(r) in answered)]
+        assert want == (naive, naive_peak)
 
         # the runner's blocks: elements [start, stop), the last block first,
         # each with its instants after the previous element's timestamp
@@ -631,21 +642,33 @@ class TestWindowState:
         assert [r & 1 for r in outputs] == [1, 0, 0, 0, 0, 0, 0]
         assert peak == 1
 
-    def test_buffer_holds_at_most_12_bytes_per_record(self):
-        # G[0,9999] over 10,000 violations buffers every one of them
-        records = [pack_record(t, LEFT, False, True, False) for t in range(10_000, 0, -1)]
+    @staticmethod
+    def _assert_buffer_holds_at_most_12_bytes_per_record(reduce):
         state = engine.WindowState()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            outputs, peak = reduce_window(records, LEFT, Interval(0, 9_999), KEY,
-                                          universal=True, state=state)
+            outputs, peak = reduce(state)
             del outputs
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
         assert peak == len(state.win) - state.head == 10_000
         assert grown <= 12 * peak, f"the buffer grew {grown / peak:.1f} B per record"
+
+    def test_buffer_holds_at_most_12_bytes_per_record(self):
+        # G[0,9999] over 10,000 violations buffers every one of them
+        records = [pack_record(t, LEFT, False, True, False) for t in range(10_000, 0, -1)]
+        self._assert_buffer_holds_at_most_12_bytes_per_record(
+            lambda state: reduce_window(records, LEFT, Interval(0, 9_999), KEY,
+                                        universal=True, state=state))
+
+    def test_column_buffer_holds_at_most_12_bytes_per_record(self):
+        # the same off a flag column: 10,000 positions where p is false
+        positions, flags = list(range(1, 10_001)), bytes(10_000)
+        self._assert_buffer_holds_at_most_12_bytes_per_record(
+            lambda state: reduce_column(positions, flags, [], 0, Interval(0, 9_999), KEY,
+                                        universal=True, state=state))
 
 
 class TestReducers:
