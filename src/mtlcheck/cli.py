@@ -46,7 +46,7 @@ from .semantics import (
     eval_table,
     verdict,
 )
-from .trace import GeneratorConfig, TraceError, generate_trace, parse_trace, split_lines
+from .trace import GeneratorConfig, TraceError, generate_trace, parse_trace
 from .transforms import TransformError, decompose, lazy_translation
 
 BENCH_CSV_COLUMNS = (
@@ -103,7 +103,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         source = nullcontext(sys.stdin.buffer) if args.trace == "-" else open(args.trace, "rb")
         with source as fh:
-            word, _ = input_read(split_lines(fh), atoms, ahead)
+            word, _ = input_read(fh, atoms, ahead)
     except (TraceError, OSError) as exc:
         return _fail(str(exc))
 

@@ -189,7 +189,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from operator import neg
-from typing import Container, Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Container, Iterable, Iterator, Optional, Sequence, Union
 
 from .formula import (
     Act,
@@ -212,7 +212,7 @@ from .formula import (
     singleton,
 )
 from .semantics import ANCHOR_FIRST, ANCHOR_ZERO, LAZY, POINT
-from .trace import TIMESTAMP_MAX, TimedWord, parse_trace_lines
+from .trace import TIMESTAMP_MAX, TimedWord, parse_trace, parse_trace_lines
 from .transforms import operands, pipeline_formula
 
 ACT_CHILD = 0
@@ -315,18 +315,21 @@ def atom_records(
 
 
 def input_read(
-    lines: Iterable[Union[str, bytes]],
+    trace: Union[BinaryIO, Iterable[Union[str, bytes]]],
     atoms: Optional[Iterable[str]] = None,
     lookahead: Optional[int] = None,
 ) -> tuple[TimedWord, int]:
-    """Parse trace text in one pass; returns the word and its first
-    timestamp, the instant a verdict is read at by default.  With ``atoms``
-    (the formula's atoms) the word keeps only their flag columns, and with
-    ``lookahead`` (the formula's) only the elements up to the first
-    timestamp plus it, which is all a check reads (see ``run_pipeline``);
-    every line is validated either way, and a parse failure raises
-    ``TraceError`` naming the failing line."""
-    word = parse_trace_lines(lines, atoms, lookahead)
+    """Parse a trace in one pass; returns the word and its first
+    timestamp, the instant a verdict is read at by default.  ``trace`` is
+    a binary stream, read by ``parse_trace`` in blocks of whole lines (the
+    command line's route), or trace lines, read by ``parse_trace_lines``.
+    With ``atoms`` (the formula's atoms) the word keeps only their flag
+    columns, and with ``lookahead`` (the formula's) only the elements up to
+    the first timestamp plus it, which is all a check reads (see
+    ``run_pipeline``); every line is validated either way, and a parse
+    failure raises ``TraceError`` naming the failing line."""
+    parse = parse_trace if hasattr(trace, "read") else parse_trace_lines
+    word = parse(trace, atoms, lookahead)
     return word, word.timestamps[0]
 
 

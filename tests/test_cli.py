@@ -693,7 +693,7 @@ class TestKeptPrefix:
                 tracemalloc.stop()
 
         # the first check's one-time allocations are not the trace's; past
-        # about two 16 KiB read blocks the peak no longer depends on the length
+        # a few read blocks the peak no longer depends on the length
         peak(200)
         small, large = peak(4_000), peak(40_000)
         capsys.readouterr()

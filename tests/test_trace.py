@@ -6,10 +6,12 @@ from bisect import bisect_right
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtlcheck import trace
 from mtlcheck.trace import (
+    TIMESTAMP_MAX,
     GeneratorConfig,
     TimedWord,
     TraceError,
@@ -392,6 +394,156 @@ class TestStampErrors:
         w = parse_trace_lines([b"1 p", b"2 q", b"0" * 5000 + b"3 p"], {"p"}, ahead)
         assert w.trace_length == 3
         assert list(w.timestamps) == [1, 2, 3][: 1 if ahead == 0 else 3]
+
+
+@st.composite
+def mostly_regular_traces(draw):
+    """Trace bytes of mostly regular lines, ``<stamp> <atoms>`` with rising
+    stamps, single spaces and ``\\n`` endings, which the bulk pass reads.
+    Now and then a line is one it declines or must read with care: a
+    comment, a blank, a leading or trailing space, a tab, \\x0b or \\x1c
+    between tokens, a ``\\r`` or ``\\r\\n`` ending, non-ASCII or non-UTF-8
+    bytes, a stamp of 18 to 20 digits, led by zeros or repeating the last,
+    an atom equal to its stamp (``5 5``), a repeated atom, or no atom.  The
+    last line may lack its ``\\n``."""
+    # a few kinds of odd line per trace, so that each kind drawn is common
+    odd_kinds = draw(st.lists(st.sampled_from(
+        ["long", "zeros", "repeat", "  ", "\t", "\x0b", "\x1c", "comment", "blank", "lead", "trail",
+         "utf8", "bad", "\r\n", "\r"]), min_size=1, max_size=3))
+    regular = [""] * draw(st.sampled_from([4, 16, 400]))
+    lines, stamp = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=60))):
+        odd = draw(st.sampled_from(regular + odd_kinds))
+        if odd == "long":  # of 17 to 20 digits, in and out of range
+            stamp = draw(st.sampled_from([10**17, 10**18, TIMESTAMP_MAX, 10**19]).flatmap(
+                lambda base: st.integers(min_value=base - 3, max_value=base + 3)))
+        elif odd != "repeat":
+            stamp += draw(st.sampled_from([1, 1, 1, 2, 5]))
+        text = "0" * (odd == "zeros") * draw(st.integers(min_value=1, max_value=3)) + str(stamp)
+        atoms = draw(st.lists(st.sampled_from(["p", "q", "r", "5"]), max_size=3))
+        sep = odd if odd in ("  ", "\t", "\x0b", "\x1c") else " "
+        line = sep.join([text, *atoms]).encode()
+        line = {"comment": b"# " + line, "blank": b"", "lead": b" " + line, "trail": line + b"  ",
+                "utf8": line + " \xe9".encode(), "bad": line + b" \xff"}.get(odd, line)
+        lines.append(line + (odd.encode() if odd in ("\r\n", "\r") else b"\n"))
+    data = b"".join(lines)
+    return data[:-1] if data.endswith(b"\n") and draw(st.booleans()) else data
+
+
+def _read(parse):
+    """A parse's timestamps, columns by atom and element count, or its error
+    message."""
+    result = _outcome(parse)
+    if isinstance(result, str):
+        return result
+    columns = {atom: result.column(atom) for atom in result.atoms}
+    return list(result.timestamps), columns, result.trace_length
+
+
+class TestBlockReader:
+    """``parse_trace`` reads a stream in blocks of whole lines, each in one
+    bulk pass when the pass accepts it and in the line loop otherwise, and
+    reads the word a line parse reads, or fails with its error."""
+
+    def test_matches_the_line_parse_and_the_oracle(self, monkeypatch):
+        accepted = []
+        bulk = trace._Parse.block
+
+        def counted(self, block):
+            accepted.append(bulk(self, block))
+            return accepted[-1]
+
+        monkeypatch.setattr(trace._Parse, "block", counted)
+
+        @settings(max_examples=500, deadline=None)
+        @given(mostly_regular_traces(),
+               # a None parse and atoms that are not tokens read every block in the line loop
+               st.one_of(*[st.frozensets(st.sampled_from(["p", "q", "r", "5", "\xe9"]), max_size=4)] * 2,
+                         st.sampled_from([None, {"p", "p q"}, {"", "q"}])),
+               st.none() | st.integers(min_value=0, max_value=40),
+               st.integers(min_value=1, max_value=300))
+        @example(b"1 p\n9223372036854775808 p\n", {"p"}, None, 300)  # 19 digits, out of range
+        @example(b"1 p\n2 p q\r3 r\n", {"q"}, None, 300)  # a lone \r ends a line
+        @example(b"1 p\n2 p q", {"q"}, None, 300)  # the last line has no \n
+        @example(b"4 5\n5\n6 5 5\n", {"5"}, 1, 2)  # atoms equal to stamps, repeated
+        def check(data, atoms, ahead, step):
+            lines = data.splitlines()
+            got = _read(lambda: parse_trace(_Trickle(data, step), atoms, ahead))
+            assert got == _read(lambda: parse_trace_lines(lines, atoms, ahead))
+            want = _outcome(lambda: naive_parse(lines))
+            if isinstance(want, str):
+                assert got == want
+                return
+            stamps = [t for _, t in want]
+            kept = want[: len(want) if ahead is None else bisect_right(stamps, stamps[0] + ahead)]
+            asked = {atom for element, _ in want for atom in element} if atoms is None else atoms
+            columns = {atom: bytes(atom in element for element, _ in kept) for atom in asked}
+            assert got == (stamps[: len(kept)], {a: c for a, c in columns.items() if 1 in c}, len(want))
+
+        check()
+        # the bulk pass read most blocks it was offered, and declined some
+        assert len(accepted) / 2 < accepted.count(True) < len(accepted) * 0.97, accepted
+
+    def test_a_regular_trace_is_read_in_bulk(self, monkeypatch):
+        buf = io.BytesIO()
+        generate_trace(GeneratorConfig(n=3_000, m=20, seed=2), buf)
+        data = buf.getvalue()
+        for atoms, ahead in ((["p", "q"], None), (["p2"], 1_000), ([], 0)):
+            want = _read(lambda: parse_trace_lines(data.splitlines(), atoms, ahead))
+
+            def refused(self, lines):
+                raise AssertionError("a block of a regular trace went to the line loop")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(trace._Parse, "lines", refused)
+                assert _read(lambda: parse_trace(io.BytesIO(data), atoms, ahead)) == want
+
+    def test_a_comment_sends_only_its_block_to_the_line_loop(self, monkeypatch):
+        buf = io.BytesIO()
+        generate_trace(GeneratorConfig(n=3_000, m=20, seed=2), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        data = b"".join(lines[:1_500] + [b"# halfway\n"] + lines[1_500:])
+        blocks = list(trace._read_blocks(io.BytesIO(data)))
+        (commented,) = [block.splitlines() for block in blocks if b"#" in block]
+        assert len(blocks) > 10 and len(commented) > 1
+        looped = []
+        line_loop = trace._Parse.lines
+
+        def spied(self, lines):
+            looped.append(lines)
+            line_loop(self, lines)
+
+        monkeypatch.setattr(trace._Parse, "lines", spied)
+        got = _read(lambda: parse_trace(io.BytesIO(data), ["p"]))
+        assert looped == [commented]
+        assert got == _read(lambda: parse_trace_lines(data.splitlines(), ["p"]))
+
+    def test_transient_memory_is_flat_and_under_half_the_word(self):
+        def parse(n, ahead):
+            """The word held and the transient (traced peak minus the word
+            held) of a one-atom parse of n generated lines."""
+            buf = io.BytesIO()
+            generate_trace(GeneratorConfig(n=n, m=20, seed=1), buf)
+            buf.seek(0)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                w = parse_trace(buf, ["p"], ahead)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert w.trace_length == n
+            return held - base, peak - held
+
+        # the blocks' transient: the first parse's one-time allocations are
+        # not the trace's, and the word holds the first 1,001 elements of both
+        parse(3_000, 1_000)
+        small, large = parse(3_000, 1_000)[1], parse(30_000, 1_000)[1]
+        assert large <= 1.1 * small, (small, large)
+        # every element kept: a block's transient, or at the end the exact
+        # copy of the grown column
+        word, transient = parse(10_500, None)
+        assert transient < word / 2, (transient, word)
 
 
 class TestGenerator:
